@@ -1,9 +1,10 @@
 """Command-line interface: solve, verify, and bench.
 
 Exit codes form the CI contract: 0 success, 1 usage or parse failure,
-2 guarantee violation (the report is still written), 3 search-cap
-exhaustion, 4 verification failure. Every boolean in a report is recomputed
-from the final allocation, never copied out of algorithm state.
+2 guarantee violation (the report is still written when one exists), 3
+search-cap exhaustion, 4 verification failure. Errors are mapped to these
+codes once, in :func:`main`. Every boolean in a report is recomputed from
+the final allocation, never copied out of algorithm state.
 """
 
 from __future__ import annotations
@@ -14,26 +15,32 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .instances import (
     ParseError,
     allocation_to_payload,
     gen_instances,
     instance_sha256,
+    instance_to_json,
     parse_allocation,
     parse_instance,
     rational_to_json,
 )
 from .model import (
     Allocation,
-    DegenerateOptimumError,
+    EfxViolation,
     FairDivisionError,
     Instance,
+    InvariantViolationError,
     StructuralError,
     bundle_cost,
     bundle_value,
+    efx_violation,
     envies,
     is_ef1,
     is_efx,
@@ -42,6 +49,7 @@ from .model import (
     nsw_product,
 )
 from .oracles import (
+    ExistenceViolationError,
     SearchBudget,
     SearchCapExceededError,
     best_allocation_under_predicate,
@@ -75,40 +83,18 @@ def _search_budget(cap: int | None) -> SearchBudget:
     return SearchBudget()
 
 
-def _rat(x: Fraction) -> int | str:
-    return rational_to_json(x)
-
-
-def _efx_certificate(instance: Instance, allocation: Allocation) -> dict:
-    """EFx as a recomputed certificate, with a minimal violation witness."""
-    for i in range(instance.num_agents):
-        own = bundle_value(instance, i, allocation.bundles[i])
-        for j in range(instance.num_agents):
-            if i == j:
-                continue
-            target = allocation.bundles[j]
-            for g in sorted(target):
-                answer = knapsack_vmax(
-                    instance, i, target - {g}, instance.budgets[i]
-                )
-                if answer.value > own:
-                    return {
-                        "pass": False,
-                        "witness": {
-                            "agent": i,
-                            "against": j,
-                            "subset": sorted(answer.witness | {g}),
-                            "removed_good": g,
-                        },
-                    }
-    return {"pass": True, "witness": None}
-
-
 def _budget_certificate(instance: Instance, allocation: Allocation) -> bool:
     return all(
         bundle_cost(instance, allocation.bundles[i]) <= instance.budgets[i]
         for i in range(instance.num_agents)
     )
+
+
+def _efx_block(violation: EfxViolation | None) -> dict:
+    return {
+        "pass": violation is None,
+        "witness": None if violation is None else asdict(violation),
+    }
 
 
 def _base_report(instance: Instance, algorithm: str, allocation: Allocation) -> dict:
@@ -117,17 +103,17 @@ def _base_report(instance: Instance, algorithm: str, allocation: Allocation) -> 
         "input_hash": instance_sha256(instance),
         "allocation": allocation_to_payload(allocation),
         "agent_values": [
-            _rat(bundle_value(instance, i, allocation.bundles[i]))
+            rational_to_json(bundle_value(instance, i, allocation.bundles[i]))
             for i in range(instance.num_agents)
         ],
         "agent_costs": [
-            _rat(bundle_cost(instance, allocation.bundles[i]))
+            rational_to_json(bundle_cost(instance, allocation.bundles[i]))
             for i in range(instance.num_agents)
         ],
-        "budgets": [_rat(b) for b in instance.budgets],
-        "nsw_product": _rat(nsw_product(instance, allocation)),
+        "budgets": [rational_to_json(b) for b in instance.budgets],
+        "nsw_product": rational_to_json(nsw_product(instance, allocation)),
         "budget_feasible": _budget_certificate(instance, allocation),
-        "efx": _efx_certificate(instance, allocation),
+        "efx": _efx_block(efx_violation(instance, allocation)),
     }
 
 
@@ -142,152 +128,131 @@ def _write_report(report: dict, out: str | None) -> None:
 def _ratio_check(name: str, lhs: Fraction, rhs: Fraction) -> dict:
     return {
         "name": name,
-        "lhs": _rat(lhs),
-        "rhs": _rat(rhs),
+        "lhs": rational_to_json(lhs),
+        "rhs": rational_to_json(rhs),
         "pass": lhs >= rhs,
     }
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        instance = parse_instance(args.instance)
-        search = _search_budget(args.cap)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    instance = parse_instance(args.instance)
+    search = _search_budget(args.cap)
     algorithm = args.algorithm
-    try:
-        if algorithm == "efx2":
-            if instance.num_agents != 2:
-                print("error: efx2 requires a two-agent instance", file=sys.stderr)
-                return EXIT_USAGE
-            if args.seed_allocation == "opt":
-                seed_alloc = max_nsw_allocation(
-                    instance, range(2), instance.all_goods(), search
-                )
-            else:
-                seed_alloc = parse_allocation(args.seed_allocation, instance)
-                if not _budget_certificate(instance, seed_alloc):
-                    print("error: seed allocation is not budget-feasible", file=sys.stderr)
-                    return EXIT_USAGE
-            seed_values = [
-                bundle_value(instance, i, seed_alloc.bundles[i]) for i in range(2)
-            ]
-            result = efx_2a(instance, (0, 1), seed_alloc)
-            report = _base_report(instance, "efx2", result.allocation)
-            out_values = [
-                bundle_value(instance, i, result.allocation.bundles[i])
-                for i in range(2)
-            ]
-            seed_product = seed_values[0] * seed_values[1]
-            checks = [
+    if algorithm == "efx2":
+        if instance.num_agents != 2:
+            raise StructuralError("efx2 requires a two-agent instance")
+        if args.seed_allocation == "opt":
+            seed_alloc = max_nsw_allocation(
+                instance, range(2), instance.all_goods(), search
+            )
+        else:
+            seed_alloc = parse_allocation(args.seed_allocation, instance)
+            if not _budget_certificate(instance, seed_alloc):
+                raise StructuralError("seed allocation is not budget-feasible")
+        seed_values = [
+            bundle_value(instance, i, seed_alloc.bundles[i]) for i in range(2)
+        ]
+        result = efx_2a(instance, (0, 1), seed_alloc)
+        report = _base_report(instance, "efx2", result.allocation)
+        out_values = [
+            bundle_value(instance, i, result.allocation.bundles[i])
+            for i in range(2)
+        ]
+        seed_product = seed_values[0] * seed_values[1]
+        checks = [
+            _ratio_check(
+                "product_at_least_half_of_seed",
+                out_values[0] * out_values[1] * 2,
+                seed_product,
+            ),
+        ]
+        if result.envier is not None:
+            envied = 1 - result.envier
+            checks.append(
                 _ratio_check(
-                    "product_at_least_half_of_seed",
-                    out_values[0] * out_values[1] * 2,
-                    seed_product,
-                ),
-            ]
-            if result.envier is not None:
-                envied = 1 - result.envier
-                checks.append(
-                    _ratio_check(
-                        "envier_keeps_input_value",
-                        out_values[result.envier],
-                        seed_values[result.envier],
-                    )
+                    "envier_keeps_input_value",
+                    out_values[result.envier],
+                    seed_values[result.envier],
                 )
-                checks.append(
-                    _ratio_check(
-                        "envied_keeps_half_input_value",
-                        out_values[envied] * 2,
-                        seed_values[envied],
-                    )
+            )
+            checks.append(
+                _ratio_check(
+                    "envied_keeps_half_input_value",
+                    out_values[envied] * 2,
+                    seed_values[envied],
                 )
-            no_envy_toward_r = not any(
-                envies(instance, result.allocation, i, result.unallocated_r)
-                for i in range(2)
             )
-            report.update(
-                {
-                    "seed_allocation": allocation_to_payload(seed_alloc),
-                    "seed_product": _rat(seed_product),
-                    "ratio_checks": checks,
-                    "no_envy_toward_unallocated": no_envy_toward_r,
-                    "trace": {
-                        "branch": result.branch,
-                        "envier": result.envier,
-                        "iterations": result.iterations,
-                        "matched": [sorted(b) for b in result.matched],
-                        "unallocated_r": sorted(result.unallocated_r),
-                        "leftout_rprime": sorted(result.leftout_rprime),
-                    },
-                }
-            )
-        elif algorithm == "efx3":
-            if instance.num_agents != 3:
-                print("error: efx3 requires a three-agent instance", file=sys.stderr)
-                return EXIT_USAGE
-            try:
-                alpha = AlphaParams(Fraction(args.alpha))
-            except (ValueError, ZeroDivisionError, StructuralError) as exc:
-                print(f"error: bad alpha: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            result = efx_3a(instance, alpha, search)
-            report = _base_report(instance, "efx3", result.allocation)
-            report.update(
-                {
-                    "alpha": _rat(result.alpha),
-                    "opt_product": _rat(result.opt_product),
-                    "ratio_checks": [
-                        _ratio_check(
-                            "product_at_least_opt_over_171_cubed",
-                            result.final_product,
-                            RATIO_FLOOR_3A * result.opt_product,
-                        )
-                    ],
-                    "trace": {
-                        "branch": result.branch,
-                        "role_order": list(result.role_order),
-                        "setaside_goods": list(result.setaside_goods),
-                        "setaside_values": [_rat(v) for v in result.setaside_values],
-                        "setaside_taken": list(result.setaside_taken),
-                        "monopoly_low": [
-                            _rat(v) for v in result.monopoly_low
-                        ]
-                        if result.monopoly_low is not None
-                        else None,
-                        "notes": list(result.notes),
-                    },
-                }
-            )
-        elif algorithm == "oracle-nsw":
-            allocation = max_nsw_allocation(
-                instance, range(instance.num_agents), instance.all_goods(), search
-            )
-            report = _base_report(instance, "oracle-nsw", allocation)
-            report["ratio_checks"] = []
-            report["trace"] = {"branch": "exhaustive_max_nsw"}
-        elif algorithm == "oracle-efx":
-            found = best_allocation_under_predicate(instance, is_efx, search)
-            assert found is not None  # the all-empty allocation is EFx
-            allocation, product = found
-            report = _base_report(instance, "oracle-efx", allocation)
-            report["ratio_checks"] = []
-            report["trace"] = {"branch": "exhaustive_best_efx"}
-        else:  # pragma: no cover - argparse restricts choices
+        no_envy_toward_r = not any(
+            envies(instance, result.allocation, i, result.unallocated_r)
+            for i in range(2)
+        )
+        report.update(
+            {
+                "seed_allocation": allocation_to_payload(seed_alloc),
+                "seed_product": rational_to_json(seed_product),
+                "ratio_checks": checks,
+                "no_envy_toward_unallocated": no_envy_toward_r,
+                "trace": {
+                    "branch": result.branch,
+                    "envier": result.envier,
+                    "iterations": result.iterations,
+                    "matched": [sorted(b) for b in result.matched],
+                    "unallocated_r": sorted(result.unallocated_r),
+                    "leftout_rprime": sorted(result.leftout_rprime),
+                },
+            }
+        )
+    elif algorithm == "efx3":
+        if instance.num_agents != 3:
+            raise StructuralError("efx3 requires a three-agent instance")
+        try:
+            alpha = AlphaParams(Fraction(args.alpha))
+        except (ValueError, ZeroDivisionError, StructuralError) as exc:
+            print(f"error: bad alpha: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    except SearchCapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except DegenerateOptimumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        result = efx_3a(instance, alpha, search)
+        report = _base_report(instance, "efx3", result.allocation)
+        report.update(
+            {
+                "alpha": rational_to_json(result.alpha),
+                "opt_product": rational_to_json(result.opt_product),
+                "ratio_checks": [
+                    _ratio_check(
+                        "product_at_least_opt_over_171_cubed",
+                        result.final_product,
+                        RATIO_FLOOR_3A * result.opt_product,
+                    )
+                ],
+                "trace": {
+                    "branch": result.branch,
+                    "role_order": list(result.role_order),
+                    "setaside_goods": list(result.setaside_goods),
+                    "setaside_values": [
+                        rational_to_json(v) for v in result.setaside_values
+                    ],
+                    "setaside_taken": list(result.setaside_taken),
+                    "monopoly_low": [rational_to_json(v) for v in result.monopoly_low]
+                    if result.monopoly_low is not None
+                    else None,
+                    "notes": list(result.notes),
+                },
+            }
+        )
+    elif algorithm == "oracle-nsw":
+        allocation = max_nsw_allocation(
+            instance, range(instance.num_agents), instance.all_goods(), search
+        )
+        report = _base_report(instance, "oracle-nsw", allocation)
+        report["ratio_checks"] = []
+        report["trace"] = {"branch": "exhaustive_max_nsw"}
+    elif algorithm == "oracle-efx":
+        found = best_allocation_under_predicate(instance, is_efx, search)
+        assert found is not None  # the all-empty allocation is EFx
+        allocation, product = found
+        report = _base_report(instance, "oracle-efx", allocation)
+        report["ratio_checks"] = []
+        report["trace"] = {"branch": "exhaustive_best_efx"}
+    else:  # pragma: no cover - argparse restricts choices
         return EXIT_USAGE
 
     # The welfare oracle promises optimality, not fairness; EFx is part of
@@ -303,130 +268,109 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        instance = parse_instance(args.instance)
-        allocation = parse_allocation(args.allocation, instance)
-        search = _search_budget(args.cap)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    instance = parse_instance(args.instance)
+    allocation = parse_allocation(args.allocation, instance)
+    search = _search_budget(args.cap)
 
     try:
         pareto: bool | None = is_pareto_efficient(instance, allocation, search)
     except SearchCapExceededError:
         pareto = None
 
-    efx = _efx_certificate(instance, allocation)
+    violation = efx_violation(instance, allocation)
     report = {
         "input_hash": instance_sha256(instance),
         "allocation": allocation_to_payload(allocation),
         "budget_feasible": _budget_certificate(instance, allocation),
         "envy_free": is_envy_free(instance, allocation),
         "ef1": is_ef1(instance, allocation),
-        "efx": efx,
+        "efx": _efx_block(violation),
         "pareto_efficient": pareto,
-        "nsw_product": _rat(nsw_product(instance, allocation)),
+        "nsw_product": rational_to_json(nsw_product(instance, allocation)),
     }
     _write_report(report, args.out)
-    return EXIT_OK if report["budget_feasible"] and efx["pass"] else EXIT_VERIFY
+    return EXIT_OK if report["budget_feasible"] and violation is None else EXIT_VERIFY
 
 
-def _bench_two_agent(seed: int, count: int, search: SearchBudget):
-    instances = gen_instances(seed, count, 2, (2, 10), (0, 20), (0, 20), 10)
-    for idx, instance in enumerate(instances):
-        start = time.perf_counter()
-        opt = max_nsw_allocation(instance, range(2), instance.all_goods(), search)
-        opt_product = nsw_product(instance, opt)
-        result = efx_2a(instance, (0, 1), opt)
-        product = nsw_product(instance, result.allocation)
-        efx_pass = is_efx(instance, result.allocation)
-        ratio_pass = product * 2 >= opt_product and not any(
-            envies(instance, result.allocation, i, result.unallocated_r)
-            for i in range(2)
-        )
-        millis = int((time.perf_counter() - start) * 1000)
-        yield {
-            "instance_id": idx,
-            "n": 2,
-            "m": instance.num_goods,
-            "algorithm": "efx2",
-            "branch": result.branch,
-            "product_alg": _rat(product),
-            "product_opt": _rat(opt_product),
-            "ratio_pass": ratio_pass,
-            "efx_pass": efx_pass,
-            "millis": millis,
-        }, instance
+def _measure_two_agent(instance: Instance, search: SearchBudget) -> dict:
+    opt = max_nsw_allocation(instance, range(2), instance.all_goods(), search)
+    opt_product = nsw_product(instance, opt)
+    result = efx_2a(instance, (0, 1), opt)
+    product = nsw_product(instance, result.allocation)
+    efx_pass = is_efx(instance, result.allocation)
+    ratio_pass = product * 2 >= opt_product and not any(
+        envies(instance, result.allocation, i, result.unallocated_r)
+        for i in range(2)
+    )
+    return {
+        "branch": result.branch,
+        "product_alg": product,
+        "product_opt": opt_product,
+        "ratio_pass": ratio_pass,
+        "efx_pass": efx_pass,
+    }
 
 
-def _bench_three_agent(seed: int, count: int, search: SearchBudget):
-    instances = gen_instances(seed, count, 3, (4, 9), (0, 20), (0, 20), 10)
-    for idx, instance in enumerate(instances):
-        start = time.perf_counter()
-        result = efx_3a(instance, AlphaParams(), search)
-        efx_pass = is_efx(instance, result.allocation) and _budget_certificate(
-            instance, result.allocation
-        )
-        ratio_pass = result.final_product >= RATIO_FLOOR_3A * result.opt_product
-        millis = int((time.perf_counter() - start) * 1000)
-        yield {
-            "instance_id": idx,
-            "n": 3,
-            "m": instance.num_goods,
-            "algorithm": "efx3",
-            "branch": result.branch,
-            "product_alg": _rat(result.final_product),
-            "product_opt": _rat(result.opt_product),
-            "ratio_pass": ratio_pass,
-            "efx_pass": efx_pass,
-            "millis": millis,
-        }, instance
+def _measure_three_agent(instance: Instance, search: SearchBudget) -> dict:
+    result = efx_3a(instance, AlphaParams(), search)
+    efx_pass = is_efx(instance, result.allocation) and _budget_certificate(
+        instance, result.allocation
+    )
+    return {
+        "branch": result.branch,
+        "product_alg": result.final_product,
+        "product_opt": result.opt_product,
+        "ratio_pass": result.final_product >= RATIO_FLOOR_3A * result.opt_product,
+        "efx_pass": efx_pass,
+    }
 
 
-def _bench_oracles(seed: int, count: int, search: SearchBudget):
-    instances = gen_instances(seed, count, 3, (2, 8), (0, 20), (0, 20), 10)
-    for idx, instance in enumerate(instances):
-        start = time.perf_counter()
-        pruned = max_nsw_allocation(
-            instance, range(instance.num_agents), instance.all_goods(), search
-        )
-        unpruned_alloc, unpruned_product = max_nsw_by_enumeration(
-            instance, range(instance.num_agents), instance.all_goods(), search
-        )
-        pruned_product = nsw_product(instance, pruned)
-        agree = (
-            pruned_product == unpruned_product
-            and pruned.bundles == unpruned_alloc.bundles
-        )
-        rng_pool = sorted(instance.all_goods())
-        kn = knapsack_vmax(
-            instance, 0, rng_pool, instance.budgets[0]
-        )
-        kn_oracle = knapsack_by_enumeration(
-            instance, 0, rng_pool, instance.budgets[0]
-        )
-        agree = agree and kn.value == kn_oracle[0] and kn.witness == kn_oracle[1]
-        millis = int((time.perf_counter() - start) * 1000)
-        yield {
-            "instance_id": idx,
-            "n": instance.num_agents,
-            "m": instance.num_goods,
-            "algorithm": "oracle-nsw",
-            "branch": "",
-            "product_alg": _rat(pruned_product),
-            "product_opt": _rat(unpruned_product),
-            "ratio_pass": agree,
-            "efx_pass": "",
-            "millis": millis,
-        }, instance
+def _measure_oracles(instance: Instance, search: SearchBudget) -> dict:
+    agents = range(instance.num_agents)
+    pool = instance.all_goods()
+    pruned = max_nsw_allocation(instance, agents, pool, search)
+    unpruned, unpruned_product = max_nsw_by_enumeration(instance, agents, pool, search)
+    pruned_product = nsw_product(instance, pruned)
+    kn = knapsack_vmax(instance, 0, pool, instance.budgets[0])
+    kn_value, kn_witness = knapsack_by_enumeration(instance, 0, pool, instance.budgets[0])
+    agree = (
+        pruned_product == unpruned_product
+        and pruned.bundles == unpruned.bundles
+        and kn.value == kn_value
+        and kn.witness == kn_witness
+    )
+    return {
+        "branch": "",
+        "product_alg": pruned_product,
+        "product_opt": unpruned_product,
+        "ratio_pass": agree,
+        "efx_pass": "",
+    }
+
+
+@dataclass(frozen=True)
+class BenchSuite:
+    """A guarantee suite: which instances to generate, and how to check one.
+
+    ``measure`` runs the solver and the checks on one instance and returns
+    the suite's own CSV fields: branch, product_alg, product_opt (exact
+    rationals), ratio_pass and efx_pass.
+    """
+
+    algorithm: str
+    agents: int
+    goods: tuple[int, int]
+    seed: int
+    count: int
+    measure: Callable[[Instance, SearchBudget], dict]
 
 
 # Default seeds are the frozen acceptance seeds; seed 3 covers all four
 # branches of the three-agent procedure within its 100 instances.
 BENCH_SUITES = {
-    "two-agent": (_bench_two_agent, 1, 200),
-    "three-agent": (_bench_three_agent, 3, 100),
-    "oracles": (_bench_oracles, 5, 50),
+    "two-agent": BenchSuite("efx2", 2, (2, 10), 1, 200, _measure_two_agent),
+    "three-agent": BenchSuite("efx3", 3, (4, 9), 3, 100, _measure_three_agent),
+    "oracles": BenchSuite("oracle-nsw", 3, (2, 8), 5, 50, _measure_oracles),
 }
 
 CSV_COLUMNS = [
@@ -444,54 +388,54 @@ CSV_COLUMNS = [
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    runner, default_seed, default_count = BENCH_SUITES[args.suite]
-    seed = args.seed if args.seed is not None else default_seed
-    count = args.count if args.count is not None else default_count
-    try:
-        search = _search_budget(args.cap)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    suite = BENCH_SUITES[args.suite]
+    seed = args.seed if args.seed is not None else suite.seed
+    count = args.count if args.count is not None else suite.count
+    search = _search_budget(args.cap)
+    instances = gen_instances(
+        seed, count, suite.agents, suite.goods, (0, 20), (0, 20), 10
+    )
 
     out_path = Path(args.out) if args.out else None
     rows: list[dict] = []
     violations: list[int] = []
-    try:
-        for row, instance in runner(seed, count, search):
-            rows.append(row)
-            if not (row["ratio_pass"] and row["efx_pass"] in (True, "")):
-                violations.append(row["instance_id"])
-                repro_dir = out_path.parent if out_path else Path.cwd()
-                repro = repro_dir / f"repro_{args.suite}_{row['instance_id']}.json"
-                from .instances import instance_to_json
+    for idx, instance in enumerate(instances):
+        start = time.perf_counter()
+        fields = suite.measure(instance, search)
+        millis = int((time.perf_counter() - start) * 1000)
+        row = {
+            "instance_id": idx,
+            "n": instance.num_agents,
+            "m": instance.num_goods,
+            "algorithm": suite.algorithm,
+            **fields,
+            "product_alg": rational_to_json(fields["product_alg"]),
+            "product_opt": rational_to_json(fields["product_opt"]),
+            "millis": millis,
+        }
+        rows.append(row)
+        if not (row["ratio_pass"] and row["efx_pass"] in (True, "")):
+            violations.append(idx)
+            repro_dir = out_path.parent if out_path else Path.cwd()
+            repro = repro_dir / f"repro_{args.suite}_{idx}.json"
+            repro.write_text(instance_to_json(instance))
 
-                repro.write_text(instance_to_json(instance))
-    except SearchCapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-
-    total_millis = sum(r["millis"] for r in rows)
-    summary = {
-        "instance_id": "TOTAL",
-        "n": "",
-        "m": "",
-        "algorithm": args.suite,
-        "branch": "",
-        "product_alg": "",
-        "product_opt": "",
-        "ratio_pass": all(r["ratio_pass"] for r in rows),
-        "efx_pass": all(r["efx_pass"] in (True, "") for r in rows),
-        "millis": total_millis,
-    }
-    rows.append(summary)
-
-    if out_path:
-        with out_path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
+    rows.append(
+        {
+            "instance_id": "TOTAL",
+            "n": "",
+            "m": "",
+            "algorithm": args.suite,
+            "branch": "",
+            "product_alg": "",
+            "product_opt": "",
+            "ratio_pass": all(r["ratio_pass"] for r in rows),
+            "efx_pass": all(r["efx_pass"] in (True, "") for r in rows),
+            "millis": sum(r["millis"] for r in rows),
+        }
+    )
+    with (out_path.open("w", newline="") if out_path else nullcontext(sys.stdout)) as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -558,6 +502,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FairDivisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, SearchCapExceededError):
+            return EXIT_CAP
+        if isinstance(exc, (InvariantViolationError, ExistenceViolationError)):
+            return EXIT_GUARANTEE
         return EXIT_USAGE
 
 

@@ -65,15 +65,21 @@ def rational_to_json(x: Fraction) -> int | str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _load_document(source: str | Path | dict) -> Any:
+    """Decode the JSON document at a path; pass a decoded document through."""
+    if not isinstance(source, (str, Path)):
+        return source
+    try:
+        return json.loads(Path(source).read_text())
+    except OSError as exc:
+        raise ParseError(f"{source}: cannot read: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{source}: invalid JSON: {exc}") from exc
+
+
 def parse_instance(source: str | Path | dict) -> Instance:
     """Read an instance document from a path or an already-decoded dict."""
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{source}: invalid JSON: {exc}") from exc
-    else:
-        doc = source
+    doc = _load_document(source)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     try:
@@ -158,13 +164,7 @@ def instance_sha256(instance: Instance) -> str:
 
 def parse_allocation(source: str | Path | dict, instance: Instance) -> Allocation:
     """Read an allocation document: {"bundles": [[good ids], ...]}."""
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{source}: invalid JSON: {exc}") from exc
-    else:
-        doc = source
+    doc = _load_document(source)
     if not isinstance(doc, dict) or "bundles" not in doc:
         raise ParseError("allocation document must be an object with 'bundles'")
     bundles = doc["bundles"]

@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Bundle = frozenset
 RationalLike = Union[Fraction, int, str]
 
@@ -21,15 +20,16 @@ __all__ = [
     "Allocation",
     "Bundle",
     "DegenerateOptimumError",
+    "EfxViolation",
     "FairDivisionError",
     "Instance",
     "InvariantViolationError",
     "KnapsackAnswer",
-    "Rational",
     "StructuralError",
     "bundle_cost",
     "bundle_value",
     "efx_envies",
+    "efx_violation",
     "envies",
     "is_ef1",
     "is_efx",
@@ -295,6 +295,19 @@ def envies(
     return best > own
 
 
+def _first_efx_drop(
+    instance: Instance, own_value: Fraction, agent: int, target: Bundle
+) -> tuple[int, KnapsackAnswer] | None:
+    # The smallest good of ``target`` whose removal still leaves the agent an
+    # affordable subset worth more than ``own_value``, with that subset.
+    budget = instance.budgets[agent]
+    for g in sorted(target):
+        answer = knapsack_vmax(instance, agent, target - {g}, budget)
+        if answer.value > own_value:
+            return g, answer
+    return None
+
+
 def efx_envies(
     instance: Instance, own_value: RationalLike, agent: int, target: Iterable[int]
 ) -> bool:
@@ -307,11 +320,7 @@ def efx_envies(
     """
     own_value = to_rational(own_value)
     target = instance.check_bundle(target)
-    budget = instance.budgets[agent]
-    for g in sorted(target):
-        if knapsack_vmax(instance, agent, target - {g}, budget).value > own_value:
-            return True
-    return False
+    return _first_efx_drop(instance, own_value, agent, target) is not None
 
 
 def _ef1_envies(
@@ -341,14 +350,39 @@ def _ef1_envies(
     return walk(0, ZERO, ZERO, None)
 
 
-def is_efx(instance: Instance, allocation: Allocation) -> bool:
-    """Envy-freeness up to any good, measured against budget-feasible sub-bundles."""
+@dataclass(frozen=True)
+class EfxViolation:
+    """Witness that ``agent`` EFx-envies the bundle of agent ``against``.
+
+    ``subset`` lies in that bundle and contains ``removed_good``; without
+    that good it fits the budget of ``agent`` and is worth strictly more to
+    ``agent`` than the bundle ``agent`` holds.
+    """
+
+    agent: int
+    against: int
+    subset: tuple[int, ...]
+    removed_good: int
+
+
+def efx_violation(instance: Instance, allocation: Allocation) -> EfxViolation | None:
+    """First EFx violation, scanning agents, then targets, then removed goods
+    in ascending id order; None when the allocation is EFx."""
     for i in range(instance.num_agents):
         own = bundle_value(instance, i, allocation.bundles[i])
         for j in range(instance.num_agents):
-            if i != j and efx_envies(instance, own, i, allocation.bundles[j]):
-                return False
-    return True
+            if i == j:
+                continue
+            found = _first_efx_drop(instance, own, i, allocation.bundles[j])
+            if found is not None:
+                g, answer = found
+                return EfxViolation(i, j, tuple(sorted(answer.witness | {g})), g)
+    return None
+
+
+def is_efx(instance: Instance, allocation: Allocation) -> bool:
+    """Envy-freeness up to any good, measured against budget-feasible sub-bundles."""
+    return efx_violation(instance, allocation) is None
 
 
 def is_ef1(instance: Instance, allocation: Allocation) -> bool:

@@ -24,6 +24,7 @@ from .model import (
     bundle_cost,
     bundle_value,
     is_efx,
+    to_rational,
 )
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "leximin_pp_split",
     "max_nsw_allocation",
     "max_nsw_by_enumeration",
-    "partial_nsw_product",
 ]
 
 ONE = Fraction(1)
@@ -69,16 +69,6 @@ class SplitPair:
 
     first: Bundle
     second: Bundle
-
-
-def partial_nsw_product(
-    instance: Instance, allocation: Allocation, agents: Iterable[int]
-) -> Fraction:
-    """Welfare product restricted to a subset of the agents."""
-    product = ONE
-    for a in agents:
-        product *= bundle_value(instance, a, allocation.bundles[a])
-    return product
 
 
 class _Counter:
@@ -408,8 +398,6 @@ def knapsack_by_enumeration(
     n = len(goods)
     costs = instance.costs
     vals = instance.values[agent]
-    from .model import to_rational
-
     budget = to_rational(budget)
     # Subset sums by reusing the value of mask minus its lowest set bit.
     cost_of = [ZERO] * (1 << n)

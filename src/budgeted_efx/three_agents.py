@@ -28,6 +28,7 @@ from .model import (
     envies,
     knapsack_vmax,
     normalize,
+    nsw_product,
 )
 from .oracles import (
     SearchBudget,
@@ -225,7 +226,6 @@ def _find_mutual_envy(
 def equal_budget_procedure(
     instance: Instance,
     opt_on_pool: Allocation,
-    setaside: SetAside,
     search: SearchBudget = SearchBudget(),
 ) -> Allocation:
     """Equal-budget branch: trim, allocate the affordable core completely and
@@ -392,7 +392,7 @@ def efx_3a(
         )
 
     opt = max_nsw_allocation(instance, range(3), instance.all_goods(), search)
-    opt_product = _product(instance, opt)
+    opt_product = nsw_product(instance, opt)
 
     if instance.num_goods <= 3:
         return SolveResult(
@@ -432,7 +432,7 @@ def efx_3a(
         else:
             reduced = Instance(work.costs, (Fraction(0),) * 3, work.values)
         opt_on_pool = max_nsw_allocation(reduced, range(3), pool, search)
-        result = equal_budget_procedure(reduced, opt_on_pool, setaside, search)
+        result = equal_budget_procedure(reduced, opt_on_pool, search)
     else:
         allocation, trace = else_procedure(work, alpha, setaside, search)
         result = allocation
@@ -464,7 +464,7 @@ def efx_3a(
     final = Allocation(
         tuple(final_bundles[back[i]] for i in range(3)), instance.all_goods()
     )
-    final_product = _product(instance, final)
+    final_product = nsw_product(instance, final)
 
     return SolveResult(
         allocation=final,
@@ -480,10 +480,3 @@ def efx_3a(
         monopoly_low=(m2, m3),
         notes=tuple(notes),
     )
-
-
-def _product(instance: Instance, allocation: Allocation) -> Fraction:
-    product = Fraction(1)
-    for i in range(instance.num_agents):
-        product *= bundle_value(instance, i, allocation.bundles[i])
-    return product

@@ -1,7 +1,13 @@
 import csv
+import dataclasses
 import json
 
+import pytest
+
+import budgeted_efx.cli as cli_mod
 from budgeted_efx.cli import main
+from budgeted_efx.model import InvariantViolationError
+from budgeted_efx.oracles import ExistenceViolationError
 
 
 def run(capsys, *argv):
@@ -122,6 +128,26 @@ class TestSolve:
         assert code == 1
         assert "error" in err
 
+    def test_missing_instance_file_is_a_parse_error(self, capsys, tmp_path):
+        missing = tmp_path / "no_such.json"
+        code, out, err = run(capsys, "solve", str(missing), "--algorithm", "efx2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "no_such.json" in err
+
+    @pytest.mark.parametrize(
+        "error", [InvariantViolationError, ExistenceViolationError]
+    )
+    def test_solver_guarantee_failure_exits_2(self, t1_path, capsys, monkeypatch, error):
+        def broken_solver(*args, **kwargs):
+            raise error("guaranteed property failed")
+
+        monkeypatch.setattr(cli_mod, "efx_2a", broken_solver)
+        code, out, err = run(capsys, "solve", str(t1_path), "--algorithm", "efx2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: guaranteed property failed\n"
+
 
 class TestVerify:
     def test_the_optimum_fails_with_a_minimal_witness(self, t1_path, capsys, tmp_path):
@@ -163,6 +189,13 @@ class TestVerify:
         alloc.write_text(json.dumps({"bundles": [[9], []]}))
         code, _, err = run(capsys, "verify", str(t1_path), str(alloc))
         assert code == 1
+
+    def test_missing_allocation_file_is_a_parse_error(self, t1_path, capsys, tmp_path):
+        missing = tmp_path / "no_such.json"
+        code, out, err = run(capsys, "verify", str(t1_path), str(missing))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "no_such.json" in err
 
 
 class TestBench:
@@ -219,28 +252,21 @@ class TestBench:
 
 
     def test_guarantee_violation_exits_2_and_dumps_a_repro(
-        self, capsys, tmp_path, monkeypatch, t1
+        self, capsys, tmp_path, monkeypatch
     ):
-        import budgeted_efx.cli as cli_mod
-
-        def failing_runner(seed, count, search):
-            row = {
-                "instance_id": 0,
-                "n": 2,
-                "m": 3,
-                "algorithm": "efx2",
+        def failing_measure(instance, search):
+            return {
                 "branch": "already_efx",
                 "product_alg": 0,
                 "product_opt": 1,
                 "ratio_pass": False,
                 "efx_pass": True,
-                "millis": 0,
             }
-            yield row, t1
 
-        monkeypatch.setitem(
-            cli_mod.BENCH_SUITES, "two-agent", (failing_runner, 1, 1)
+        failing_suite = dataclasses.replace(
+            cli_mod.BENCH_SUITES["two-agent"], count=1, measure=failing_measure
         )
+        monkeypatch.setitem(cli_mod.BENCH_SUITES, "two-agent", failing_suite)
         out_csv = tmp_path / "rows.csv"
         code, _, err = run(
             capsys, "bench", "--suite", "two-agent", "--out", str(out_csv)

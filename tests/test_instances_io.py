@@ -82,6 +82,25 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"agents\[0\].values"):
             parse_instance(doc)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read"),
+            (b"\xff\xfe{", "invalid JSON"),
+            (b'{"goods": ' + b"1" * 5000 + b"}", "invalid JSON"),
+            (b"[" * 200_000 + b"]" * 200_000, "invalid JSON"),
+        ],
+        ids=["missing", "not-utf8", "oversized-integer", "too-deep"],
+    )
+    def test_unreadable_documents_are_parse_errors(self, tmp_path, t1, content, message):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ParseError, match=message):
+            parse_instance(path)
+        with pytest.raises(ParseError, match=message):
+            parse_allocation(path, t1)
+
     def test_hash_is_stable_across_equivalent_spellings(self, t1):
         doc = {
             "goods": [

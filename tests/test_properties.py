@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from budgeted_efx.model import (
     bundle_value,
     efx_envies,
+    efx_violation,
     is_ef1,
     is_efx,
     knapsack_vmax,
@@ -20,7 +21,13 @@ from budgeted_efx.oracles import (
 )
 from budgeted_efx.two_agents import build_feasibility_graph, efx_2a, select_perfect_matching
 
-from helpers import build, literal_efx_envies, random_feasible_allocation
+from helpers import (
+    build,
+    cost_of,
+    literal_efx_envies,
+    random_feasible_allocation,
+    value_of,
+)
 
 F = Fraction
 
@@ -96,6 +103,30 @@ def test_efx_envy_two_step_form_matches_the_literal_form(data, own):
     assert efx_envies(inst, own, 0, target) == literal_efx_envies(
         inst, own, 0, target
     )
+
+
+@settings(deadline=None)
+@given(instances(n_agents=st.integers(2, 3)), st.integers(0, 10**6))
+def test_efx_violation_agrees_with_the_literal_form_and_its_witness_holds(inst, seed):
+    allocation = random_feasible_allocation(random.Random(seed), inst)
+    bundles = allocation.bundles
+    literal = any(
+        literal_efx_envies(inst, value_of(inst, i, bundles[i]), i, bundles[j])
+        for i in range(inst.num_agents)
+        for j in range(inst.num_agents)
+        if i != j
+    )
+    violation = efx_violation(inst, allocation)
+    assert (violation is None) == (not literal)
+    if violation is not None:
+        agent = violation.agent
+        subset = frozenset(violation.subset)
+        assert agent != violation.against
+        assert violation.removed_good in subset
+        assert subset <= bundles[violation.against]
+        kept = subset - {violation.removed_good}
+        assert cost_of(inst, kept) <= inst.budgets[agent]
+        assert value_of(inst, agent, kept) > value_of(inst, agent, bundles[agent])
 
 
 @settings(deadline=None)

@@ -189,7 +189,7 @@ class TestEqualBudgetProcedure:
             inst = gen_instances(rng.randint(0, 10**6), 1, 3, (4, 8), budget_spread=1)[0]
             prefix = TestTrimming()
             reduced, opt_pool, setaside = prefix.equal_budget_prefix(inst)
-            out = equal_budget_procedure(reduced, opt_pool, setaside)
+            out = equal_budget_procedure(reduced, opt_pool)
             assert is_efx(reduced, out)
             for i in range(3):
                 assert bundle_cost(reduced, out.bundles[i]) <= reduced.budgets[i]
