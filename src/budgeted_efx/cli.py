@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -117,12 +117,19 @@ def _base_report(instance: Instance, algorithm: str, allocation: Allocation) -> 
     }
 
 
-def _write_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+def _emit(text: str, out: str | Path | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, newline="")
+    except OSError as exc:
+        raise FairDivisionError(f"{out}: cannot write: {exc.strerror or exc}") from exc
+
+
+def _write_report(report: dict, out: str | None) -> None:
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
 
 
 def _ratio_check(name: str, lhs: Fraction, rhs: Fraction) -> dict:
@@ -396,12 +403,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed, count, suite.agents, suite.goods, (0, 20), (0, 20), 10
     )
 
-    out_path = Path(args.out) if args.out else None
+    repro_dir = Path(args.out).parent if args.out else Path.cwd()
     rows: list[dict] = []
     violations: list[int] = []
     for idx, instance in enumerate(instances):
+        repro = repro_dir / f"repro_{args.suite}_{idx}.json"
         start = time.perf_counter()
-        fields = suite.measure(instance, search)
+        try:
+            fields = suite.measure(instance, search)
+        except (InvariantViolationError, ExistenceViolationError):
+            _emit(instance_to_json(instance), repro)
+            raise
         millis = int((time.perf_counter() - start) * 1000)
         row = {
             "instance_id": idx,
@@ -416,9 +428,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows.append(row)
         if not (row["ratio_pass"] and row["efx_pass"] in (True, "")):
             violations.append(idx)
-            repro_dir = out_path.parent if out_path else Path.cwd()
-            repro = repro_dir / f"repro_{args.suite}_{idx}.json"
-            repro.write_text(instance_to_json(instance))
+            _emit(instance_to_json(instance), repro)
 
     rows.append(
         {
@@ -434,10 +444,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "millis": sum(r["millis"] for r in rows),
         }
     )
-    with (out_path.open("w", newline="") if out_path else nullcontext(sys.stdout)) as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    _emit(table.getvalue(), args.out)
 
     if violations:
         print(

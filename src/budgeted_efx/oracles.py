@@ -102,6 +102,27 @@ def max_nsw_allocation(
     id) then "unallocated", so the first optimum found -- and hence the one
     returned -- has the lexicographically smallest assignment vector.
     """
+    found = _welfare_walk(instance, agents, pool, budget)
+    assert found is not None
+    return found[0]
+
+
+def _welfare_walk(
+    instance: Instance,
+    agents: Sequence[int],
+    pool: Iterable[int],
+    budget: SearchBudget,
+    accept: Callable[[Instance, Allocation], bool] | None = None,
+) -> tuple[Allocation, Fraction] | None:
+    """The branch and bound behind :func:`max_nsw_allocation`: the first
+    welfare-product maximizer, in lexicographic assignment order, among the
+    budget-feasible allocations that ``accept`` admits (all when None).
+
+    ``accept`` runs only at leaves whose product strictly beats the
+    incumbent, and a subtree is pruned only when its product bound does not.
+    The bound caps every leaf below the node whatever ``accept`` says, so no
+    pruned leaf could have replaced the incumbent.
+    """
     agents = tuple(sorted(set(agents)))
     if not agents:
         raise StructuralError("at least one agent required")
@@ -121,6 +142,13 @@ def max_nsw_allocation(
         for idx in range(n - 1, -1, -1):
             row[idx] = row[idx + 1] + vals[ai][goods[idx]]
 
+    def to_allocation(codes: Sequence[int]) -> Allocation:
+        bundles: list[set[int]] = [set() for _ in range(instance.num_agents)]
+        for g, code in zip(goods, codes):
+            if code < k:
+                bundles[agents[code]].add(g)
+        return Allocation(tuple(frozenset(b) for b in bundles), pool)
+
     counter = _Counter(budget.max_assignments)
     spent = [ZERO] * k
     acc = [ZERO] * k
@@ -135,9 +163,12 @@ def max_nsw_allocation(
             product = ONE
             for v in acc:
                 product *= v
-            if best_product is None or product > best_product:
-                best_product = product
-                best_assign = tuple(assign)
+            if best_product is not None and product <= best_product:
+                return
+            if accept is not None and not accept(instance, to_allocation(assign)):
+                return
+            best_product = product
+            best_assign = tuple(assign)
             return
         if best_product is not None:
             bound = ONE
@@ -160,12 +191,9 @@ def max_nsw_allocation(
         walk(idx + 1)
 
     walk(0)
-    assert best_assign is not None
-    bundles: list[set[int]] = [set() for _ in range(instance.num_agents)]
-    for g, code in zip(goods, best_assign):
-        if code < k:
-            bundles[agents[code]].add(g)
-    return Allocation(tuple(frozenset(b) for b in bundles), pool)
+    if best_assign is None:
+        return None
+    return to_allocation(best_assign), best_product
 
 
 def complete_efx_allocation(
@@ -285,51 +313,15 @@ def best_allocation_under_predicate(
     """Welfare-product maximizer among all budget-feasible allocations of all
     goods that satisfy ``predicate``; None if nothing satisfies it.
 
-    Full enumeration: predicates like EF1 are not monotone under extension,
-    so only budget infeasibility prunes. Ties resolve to the first optimum in
-    lexicographic assignment order, as in :func:`max_nsw_allocation`.
+    The welfare branch and bound of :func:`max_nsw_allocation`, with the
+    predicate checked at the leaves. Predicates like EF1 are not monotone
+    under extension, so they never prune; the product bound does, and it
+    caps every leaf below a node whatever the predicate says. Ties resolve
+    to the first optimum in lexicographic assignment order.
     """
-    n_agents = instance.num_agents
-    goods = sorted(instance.all_goods())
-    costs = instance.costs
-    counter = _Counter(budget.max_assignments)
-    assign = [n_agents] * len(goods)
-    spent = [ZERO] * n_agents
-    best: tuple[Allocation, Fraction] | None = None
-
-    def walk(idx: int) -> None:
-        nonlocal best
-        if idx == len(goods):
-            counter.tick()
-            bundles: list[set[int]] = [set() for _ in range(n_agents)]
-            for g, code in zip(goods, assign):
-                if code < n_agents:
-                    bundles[code].add(g)
-            allocation = Allocation(
-                tuple(frozenset(b) for b in bundles), instance.all_goods()
-            )
-            if not predicate(instance, allocation):
-                return
-            product = ONE
-            for a in range(n_agents):
-                product *= bundle_value(instance, a, allocation.bundles[a])
-            if best is None or product > best[1]:
-                best = (allocation, product)
-            return
-        g = goods[idx]
-        for code in range(n_agents):
-            with_g = spent[code] + costs[g]
-            if with_g > instance.budgets[code]:
-                continue
-            assign[idx] = code
-            spent[code] = with_g
-            walk(idx + 1)
-            spent[code] = with_g - costs[g]
-        assign[idx] = n_agents
-        walk(idx + 1)
-
-    walk(0)
-    return best
+    return _welfare_walk(
+        instance, range(instance.num_agents), instance.all_goods(), budget, predicate
+    )
 
 
 def is_pareto_efficient(

@@ -75,8 +75,10 @@ class AlphaParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if not 0 < self.alpha < 1:
-            raise StructuralError("alpha must lie strictly between 0 and 1")
+        if not 0 < self.alpha <= Fraction(1, 35):
+            raise StructuralError(
+                "alpha must lie in (0, 1/35]; above 1/35 the guarantees are void"
+            )
 
 
 @dataclass(frozen=True)
@@ -196,33 +198,6 @@ def trim_to_budget_share(
     return tuple(trimmed)
 
 
-def _find_envy_three_cycle(
-    instance: Instance, allocation: Allocation
-) -> tuple[int, int, int] | None:
-    n = instance.num_agents
-    for i, j, k in itertools.permutations(range(n), 3):
-        if (
-            envies(instance, allocation, i, allocation.bundles[j])
-            and envies(instance, allocation, j, allocation.bundles[k])
-            and envies(instance, allocation, k, allocation.bundles[i])
-        ):
-            return i, j, k
-    return None
-
-
-def _find_mutual_envy(
-    instance: Instance, allocation: Allocation
-) -> tuple[int, int] | None:
-    n = instance.num_agents
-    for i in range(n):
-        for j in range(i + 1, n):
-            if envies(instance, allocation, i, allocation.bundles[j]) and envies(
-                instance, allocation, j, allocation.bundles[i]
-            ):
-                return i, j
-    return None
-
-
 def equal_budget_procedure(
     instance: Instance,
     opt_on_pool: Allocation,
@@ -243,22 +218,26 @@ def equal_budget_procedure(
     allocation = complete_efx_allocation(instance, range(instance.num_agents), z, search)
     allocation = Allocation(allocation.bundles, opt_on_pool.scope)
 
+    agents = range(instance.num_agents)
+    # 3-cycles first, then mutual pairs; a pair is an envy cycle of length 2.
+    cycles = [*itertools.permutations(agents, 3), *itertools.combinations(agents, 2)]
     for _ in range(ENVY_SWAP_CAP):
-        cycle = _find_envy_three_cycle(instance, allocation)
-        if cycle is not None:
-            i, j, k = cycle
-            bundles = list(allocation.bundles)
-            bundles[i], bundles[j], bundles[k] = bundles[j], bundles[k], bundles[i]
-            allocation = Allocation(tuple(bundles), allocation.scope)
-            continue
-        pair = _find_mutual_envy(instance, allocation)
-        if pair is not None:
-            i, j = pair
-            bundles = list(allocation.bundles)
-            bundles[i], bundles[j] = bundles[j], bundles[i]
-            allocation = Allocation(tuple(bundles), allocation.scope)
-            continue
-        break
+        bundles = allocation.bundles
+        envy = [
+            [i != j and envies(instance, allocation, i, bundles[j]) for j in agents]
+            for i in agents
+        ]
+        cycle = next(
+            (c for c in cycles if all(envy[a][b] for a, b in zip(c, c[1:] + c[:1]))),
+            None,
+        )
+        if cycle is None:
+            break
+        # Each agent on the cycle takes the bundle it envies.
+        moved = list(bundles)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            moved[a] = bundles[b]
+        allocation = Allocation(tuple(moved), allocation.scope)
     else:
         raise InvariantViolationError(
             f"envy-cycle resolution did not converge within {ENVY_SWAP_CAP} steps"
@@ -375,21 +354,10 @@ def efx_3a(
     instance: Instance,
     alpha: AlphaParams = AlphaParams(),
     search: SearchBudget = SearchBudget(),
-    enforce_guarantee: bool = True,
 ) -> SolveResult:
-    """Full three-agent pipeline; see the module docstring for the shape.
-
-    ``enforce_guarantee`` rejects alpha above 1/35, the largest value for
-    which every branch of the analysis is valid; disable it only to
-    experiment with the trade-off.
-    """
+    """Full three-agent pipeline; see the module docstring for the shape."""
     if instance.num_agents != 3:
         raise StructuralError("this procedure handles exactly 3 agents")
-    if enforce_guarantee and alpha.alpha > Fraction(1, 35):
-        raise StructuralError(
-            "alpha above 1/35 voids the guarantees; pass enforce_guarantee=False "
-            "to experiment"
-        )
 
     opt = max_nsw_allocation(instance, range(3), instance.all_goods(), search)
     opt_product = nsw_product(instance, opt)

@@ -45,7 +45,6 @@ class FeasibilityGraph:
 
     agents: tuple[int, ...]
     bundles: tuple[Bundle, ...]
-    labels: tuple[str, ...]
     edges: frozenset[tuple[int, int]]
     values: tuple[tuple[Fraction, ...], ...]
 
@@ -77,7 +76,6 @@ def build_feasibility_graph(
     instance: Instance,
     agents: Sequence[int],
     bundles: Sequence[Iterable[int]],
-    labels: Sequence[str] | None = None,
 ) -> FeasibilityGraph:
     checked = tuple(instance.check_bundle(b) for b in bundles)
     taken: set[int] = set()
@@ -85,10 +83,6 @@ def build_feasibility_graph(
         if b & taken:
             raise StructuralError("graph bundles must be pairwise disjoint")
         taken |= b
-    if labels is None:
-        labels = tuple(f"bundle_{j}" for j in range(len(checked)))
-    else:
-        labels = tuple(labels)
 
     values: list[tuple[Fraction, ...]] = []
     edges: set[tuple[int, int]] = set()
@@ -107,9 +101,7 @@ def build_feasibility_graph(
             if achievable >= threshold:
                 edges.add((pos, j))
         values.append(row)
-    return FeasibilityGraph(
-        tuple(agents), checked, labels, frozenset(edges), tuple(values)
-    )
+    return FeasibilityGraph(tuple(agents), checked, frozenset(edges), tuple(values))
 
 
 def select_perfect_matching(
@@ -318,7 +310,6 @@ def efx_2a(
                 instance,
                 (envier, envied),
                 (x_envier, frozenset(kept), frozenset(reserve)),
-                labels=("envier_input", "envied_kept", "reserve"),
             )
             matching = select_perfect_matching(graph, envied, envier)
             if matching is not None or not kept:
@@ -335,12 +326,7 @@ def efx_2a(
     else:
         branch = "leximin_split"
         bundles = split_bundles()
-        graph = build_feasibility_graph(
-            instance,
-            (envier, envied),
-            bundles,
-            labels=("envier_input", "split_first", "split_second"),
-        )
+        graph = build_feasibility_graph(instance, (envier, envied), bundles)
         matching = select_perfect_matching(graph, envied, envier)
         configurations = [bundles, (x_envier, x_envied, frozenset())]
 

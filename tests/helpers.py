@@ -94,3 +94,32 @@ def random_feasible_allocation(
             bundles[who].add(g)
             spent[who] += instance.costs[g]
     return Allocation(tuple(frozenset(b) for b in bundles), scope)
+
+
+def literal_best_under_predicate(instance: Instance, predicate):
+    """Largest welfare product over every budget-feasible assignment of all
+    goods that satisfies ``predicate``, as ``(allocation, product)``; None if
+    none does.
+
+    Plain enumeration of assignment codes (agent ids, then n for
+    "unallocated"), goods in id order; ties go to the first assignment in
+    lexicographic order.
+    """
+    n = instance.num_agents
+    goods = range(instance.num_goods)
+    best = None
+    for codes in itertools.product(range(n + 1), repeat=instance.num_goods):
+        bundles = tuple(
+            frozenset(g for g in goods if codes[g] == i) for i in range(n)
+        )
+        if any(cost_of(instance, bundles[i]) > instance.budgets[i] for i in range(n)):
+            continue
+        allocation = Allocation(bundles, instance.all_goods())
+        if not predicate(instance, allocation):
+            continue
+        product = Fraction(1)
+        for i in range(n):
+            product *= value_of(instance, i, bundles[i])
+        if best is None or product > best[1]:
+            best = (allocation, product)
+    return best

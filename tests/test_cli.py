@@ -276,6 +276,55 @@ class TestBench:
         assert (tmp_path / "repro_two-agent_0.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "error", [InvariantViolationError, ExistenceViolationError]
+    )
+    def test_solver_failure_exits_2_and_dumps_a_repro(
+        self, capsys, tmp_path, monkeypatch, error
+    ):
+        real_measure = cli_mod.BENCH_SUITES["two-agent"].measure
+        seen = []
+
+        def measure_failing_on_the_second(instance, search):
+            seen.append(instance)
+            if len(seen) == 2:
+                raise error("guaranteed property failed")
+            return real_measure(instance, search)
+
+        failing_suite = dataclasses.replace(
+            cli_mod.BENCH_SUITES["two-agent"],
+            count=3,
+            measure=measure_failing_on_the_second,
+        )
+        monkeypatch.setitem(cli_mod.BENCH_SUITES, "two-agent", failing_suite)
+        out_csv = tmp_path / "rows.csv"
+        code, _, err = run(
+            capsys, "bench", "--suite", "two-agent", "--out", str(out_csv)
+        )
+        assert code == 2
+        assert err == "error: guaranteed property failed\n"
+        assert sorted(p.name for p in tmp_path.glob("repro_*")) == [
+            "repro_two-agent_1.json"
+        ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{t1}", "--algorithm", "efx2"],
+        ["bench", "--suite", "two-agent", "--count", "2"],
+    ],
+    ids=["solve", "bench"],
+)
+def test_out_in_a_missing_directory_is_a_usage_error(argv, t1_path, capsys, tmp_path):
+    target = tmp_path / "no_such_dir" / "out.txt"
+    argv = [a.format(t1=t1_path) for a in argv] + ["--out", str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+
+
 class TestReportContract:
     def test_solve_reports_are_self_certifying(self, t1_path, capsys, tmp_path):
         # re-running verify on a report's allocation reproduces its booleans

@@ -6,6 +6,7 @@ import pytest
 from budgeted_efx.model import (
     StructuralError,
     bundle_value,
+    is_ef1,
     is_efx,
     make_allocation,
     monopoly_value,
@@ -22,7 +23,7 @@ from budgeted_efx.oracles import (
     max_nsw_by_enumeration,
 )
 
-from helpers import build, random_instance
+from helpers import build, literal_best_under_predicate, random_instance
 
 F = Fraction
 
@@ -177,6 +178,30 @@ class TestBestUnderPredicate:
 
     def test_unsatisfiable_predicate_returns_none(self, t1):
         assert best_allocation_under_predicate(t1, lambda i, a: False) is None
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [is_efx, is_ef1, lambda i, a: True, lambda i, a: False],
+        ids=["efx", "ef1", "always", "never"],
+    )
+    def test_matches_literal_enumeration(self, predicate):
+        rng = random.Random(37)
+        for _ in range(40):
+            inst = random_instance(rng, rng.choice((2, 3)), rng.randint(0, 5))
+            found = best_allocation_under_predicate(inst, predicate)
+            expected = literal_best_under_predicate(inst, predicate)
+            if expected is None:
+                assert found is None
+            else:
+                assert found is not None
+                assert (found[0].bundles, found[1]) == (
+                    expected[0].bundles,
+                    expected[1],
+                )
+
+    def test_cap_exhaustion_is_loud(self, t1):
+        with pytest.raises(SearchCapExceededError):
+            best_allocation_under_predicate(t1, is_efx, SearchBudget(2))
 
 
 class TestParetoEfficiency:

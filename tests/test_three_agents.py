@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import budgeted_efx.three_agents as three_agents
 from budgeted_efx.instances import gen_instances
 from budgeted_efx.model import (
     Allocation,
@@ -15,7 +16,11 @@ from budgeted_efx.model import (
     normalize,
     nsw_product,
 )
-from budgeted_efx.oracles import max_nsw_allocation
+from budgeted_efx.oracles import (
+    SearchBudget,
+    complete_efx_allocation,
+    max_nsw_allocation,
+)
 from budgeted_efx.three_agents import (
     AlphaParams,
     efx_3a,
@@ -25,7 +30,7 @@ from budgeted_efx.three_agents import (
     trim_to_budget_share,
 )
 
-from helpers import build
+from helpers import build, cost_of, subsets, value_of
 
 F = Fraction
 RATIO_FLOOR = F(1, 171) ** 3
@@ -211,6 +216,54 @@ class TestEqualBudgetProcedure:
                 for (i, j, k) in itertools.permutations(range(3))
             )
 
+    @staticmethod
+    def envy_cycle_and_pair(instance, allocation):
+        """Whether some envy 3-cycle, and some mutual-envy pair, exists, by
+        the literal definition: an affordable subset of the other's bundle
+        worth more than the own bundle."""
+
+        def envy(i, j):
+            own = value_of(instance, i, allocation.bundles[i])
+            return any(
+                cost_of(instance, s) <= instance.budgets[i]
+                and value_of(instance, i, s) > own
+                for s in subsets(allocation.bundles[j])
+            )
+
+        edges = {(i, j) for i, j in itertools.permutations(range(3), 2) if envy(i, j)}
+        cycle = any(
+            {(i, j), (j, k), (k, i)} <= edges
+            for i, j, k in itertools.permutations(range(3))
+        )
+        pair = any({(i, j), (j, i)} <= edges for i, j in itertools.combinations(range(3), 2))
+        return cycle, pair
+
+    def test_output_has_no_envy_cycle_and_no_mutual_envy(self, monkeypatch):
+        # Generated instances, as (seed, goods range, index), whose
+        # equal-budget inputs start the swap loop with a 3-cycle and no
+        # mutual pair, with a 3-cycle and a mutual pair (one rotation each),
+        # and twice with mutual pairs only (one swap each).
+        cases = ((19, (4, 7), 38), (3, (4, 9), 41), (3, (4, 9), 11), (3, (4, 9), 69))
+        inputs = []
+
+        def recording(instance, opt_on_pool, search=SearchBudget()):
+            inputs.append((instance, opt_on_pool))
+            return equal_budget_procedure(instance, opt_on_pool, search)
+
+        monkeypatch.setattr(three_agents, "equal_budget_procedure", recording)
+        for seed, goods, idx in cases:
+            efx_3a(gen_instances(seed, idx + 1, 3, goods, (0, 20), (0, 20), 10)[idx])
+        assert len(inputs) == len(cases)
+
+        starts = []
+        for reduced, opt_pool in inputs:
+            z = frozenset().union(*trim_to_budget_share(reduced, opt_pool))
+            start = complete_efx_allocation(reduced, range(3), z)
+            starts.append(self.envy_cycle_and_pair(reduced, start))
+            out = equal_budget_procedure(reduced, opt_pool)
+            assert self.envy_cycle_and_pair(reduced, out) == (False, False)
+        assert starts == [(True, False), (True, True), (False, True), (False, True)]
+
 
 class TestRoundRobinSelfSplit:
     def test_alternation_on_descending_values(self):
@@ -364,7 +417,6 @@ class TestPipelineBranches:
         inst = build([1] * 4, [2, 2, 2], [[1] * 4] * 3)
         with pytest.raises(StructuralError):
             efx_3a(inst, AlphaParams(F(1, 10)))
-        efx_3a(inst, AlphaParams(F(1, 10)), enforce_guarantee=False)
 
     def test_wrong_arity_rejected(self, t1):
         with pytest.raises(StructuralError):

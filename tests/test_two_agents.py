@@ -142,7 +142,6 @@ class TestSelectPerfectMatching:
         forced = graph.__class__(
             agents=graph.agents,
             bundles=graph.bundles,
-            labels=graph.labels,
             edges=frozenset({(0, 1), (1, 0), (1, 1)}),
             values=graph.values,
         )
@@ -161,7 +160,6 @@ class TestSelectPerfectMatching:
         pinned = graph.__class__(
             agents=graph.agents,
             bundles=graph.bundles,
-            labels=graph.labels,
             edges=frozenset({(0, 1), (1, 1)}),
             values=graph.values,
         )
