@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -141,19 +142,20 @@ def _ratio_check(name: str, lhs: Fraction, rhs: Fraction) -> dict:
     }
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    instance = parse_instance(args.instance)
-    search = _search_budget(args.cap)
-    algorithm = args.algorithm
+def _solve_report(
+    instance: Instance, algorithm: str, search: SearchBudget, seed="opt", alpha="1/35"
+) -> dict:
+    """Run ``algorithm`` and build its report; ``seed`` ('opt' or an
+    allocation path) is for efx2, ``alpha`` (p/q) for efx3."""
     if algorithm == "efx2":
         if instance.num_agents != 2:
             raise StructuralError("efx2 requires a two-agent instance")
-        if args.seed_allocation == "opt":
+        if seed == "opt":
             seed_alloc = max_nsw_allocation(
                 instance, range(2), instance.all_goods(), search
             )
         else:
-            seed_alloc = parse_allocation(args.seed_allocation, instance)
+            seed_alloc = parse_allocation(seed, instance)
             if not _budget_certificate(instance, seed_alloc):
                 raise StructuralError("seed allocation is not budget-feasible")
         seed_values = [
@@ -213,11 +215,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if instance.num_agents != 3:
             raise StructuralError("efx3 requires a three-agent instance")
         try:
-            alpha = AlphaParams(Fraction(args.alpha))
+            params = AlphaParams(Fraction(alpha))
         except (ValueError, ZeroDivisionError, StructuralError) as exc:
-            print(f"error: bad alpha: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        result = efx_3a(instance, alpha, search)
+            raise ParseError(f"bad alpha: {exc}") from exc
+        result = efx_3a(instance, params, search)
         report = _base_report(instance, "efx3", result.allocation)
         report.update(
             {
@@ -259,19 +260,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
         report = _base_report(instance, "oracle-efx", allocation)
         report["ratio_checks"] = []
         report["trace"] = {"branch": "exhaustive_best_efx"}
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_USAGE
+    else:
+        raise ParseError(f"unknown algorithm {algorithm!r}")
+    return report
 
-    # The welfare oracle promises optimality, not fairness; EFx is part of
-    # the contract only for the EFx-producing algorithms.
-    ok = report["budget_feasible"] and all(
-        c["pass"] for c in report.get("ratio_checks", [])
+
+def _certificate(report: dict) -> tuple[bool, bool]:
+    """``(ratio_pass, efx_pass)`` of a solve report. The welfare oracle
+    promises optimality, not fairness, so EFx is not part of its contract."""
+    ratio_pass = all(c["pass"] for c in report["ratio_checks"])
+    ratio_pass = ratio_pass and report.get("no_envy_toward_unallocated", True)
+    fair = report["algorithm"] == "oracle-nsw" or report["efx"]["pass"]
+    return ratio_pass, report["budget_feasible"] and fair
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    instance, search = parse_instance(args.instance), _search_budget(args.cap)
+    report = _solve_report(
+        instance, args.algorithm, search, args.seed_allocation, args.alpha
     )
-    if algorithm in ("efx2", "efx3", "oracle-efx"):
-        ok = ok and report["efx"]["pass"]
-    ok = ok and report.get("no_envy_toward_unallocated", True)
     _write_report(report, args.out)
-    return EXIT_OK if ok else EXIT_GUARANTEE
+    return EXIT_OK if all(_certificate(report)) else EXIT_GUARANTEE
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -299,35 +308,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report["budget_feasible"] and violation is None else EXIT_VERIFY
 
 
-def _measure_two_agent(instance: Instance, search: SearchBudget) -> dict:
-    opt = max_nsw_allocation(instance, range(2), instance.all_goods(), search)
-    opt_product = nsw_product(instance, opt)
-    result = efx_2a(instance, (0, 1), opt)
-    product = nsw_product(instance, result.allocation)
-    efx_pass = is_efx(instance, result.allocation)
-    ratio_pass = product * 2 >= opt_product and not any(
-        envies(instance, result.allocation, i, result.unallocated_r)
-        for i in range(2)
-    )
+def _measure_solve(algorithm: str, instance: Instance, search: SearchBudget) -> dict:
+    report = _solve_report(instance, algorithm, search)
+    ratio_pass, efx_pass = _certificate(report)
     return {
-        "branch": result.branch,
-        "product_alg": product,
-        "product_opt": opt_product,
+        "branch": report["trace"]["branch"],
+        "product_alg": report["nsw_product"],
+        "product_opt": report["seed_product" if algorithm == "efx2" else "opt_product"],
         "ratio_pass": ratio_pass,
-        "efx_pass": efx_pass,
-    }
-
-
-def _measure_three_agent(instance: Instance, search: SearchBudget) -> dict:
-    result = efx_3a(instance, AlphaParams(), search)
-    efx_pass = is_efx(instance, result.allocation) and _budget_certificate(
-        instance, result.allocation
-    )
-    return {
-        "branch": result.branch,
-        "product_alg": result.final_product,
-        "product_opt": result.opt_product,
-        "ratio_pass": result.final_product >= RATIO_FLOOR_3A * result.opt_product,
         "efx_pass": efx_pass,
     }
 
@@ -348,8 +336,8 @@ def _measure_oracles(instance: Instance, search: SearchBudget) -> dict:
     )
     return {
         "branch": "",
-        "product_alg": pruned_product,
-        "product_opt": unpruned_product,
+        "product_alg": rational_to_json(pruned_product),
+        "product_opt": rational_to_json(unpruned_product),
         "ratio_pass": agree,
         "efx_pass": "",
     }
@@ -361,7 +349,7 @@ class BenchSuite:
 
     ``measure`` runs the solver and the checks on one instance and returns
     the suite's own CSV fields: branch, product_alg, product_opt (exact
-    rationals), ratio_pass and efx_pass.
+    rationals in wire format), ratio_pass and efx_pass.
     """
 
     algorithm: str
@@ -375,8 +363,8 @@ class BenchSuite:
 # Default seeds are the frozen acceptance seeds; seed 3 covers all four
 # branches of the three-agent procedure within its 100 instances.
 BENCH_SUITES = {
-    "two-agent": BenchSuite("efx2", 2, (2, 10), 1, 200, _measure_two_agent),
-    "three-agent": BenchSuite("efx3", 3, (4, 9), 3, 100, _measure_three_agent),
+    "two-agent": BenchSuite("efx2", 2, (2, 10), 1, 200, partial(_measure_solve, "efx2")),
+    "three-agent": BenchSuite("efx3", 3, (4, 9), 3, 100, partial(_measure_solve, "efx3")),
     "oracles": BenchSuite("oracle-nsw", 3, (2, 8), 5, 50, _measure_oracles),
 }
 
@@ -392,6 +380,23 @@ CSV_COLUMNS = [
     "efx_pass",
     "millis",
 ]
+
+
+def _csv_table(rows: list[dict]) -> str:
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    return table.getvalue()
+
+
+def _emit_reported(text: str, out: str | Path | None) -> None:
+    """:func:`_emit`, printing a write failure instead of raising it: once a
+    guarantee has failed, the run exits 2 whatever else fails to write."""
+    try:
+        _emit(text, out)
+    except FairDivisionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -412,7 +417,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         try:
             fields = suite.measure(instance, search)
         except (InvariantViolationError, ExistenceViolationError):
-            _emit(instance_to_json(instance), repro)
+            # Keep the finished rows; main still maps the error to exit 2.
+            _emit_reported(instance_to_json(instance), repro)
+            _emit_reported(_csv_table(rows), args.out)
             raise
         millis = int((time.perf_counter() - start) * 1000)
         row = {
@@ -421,42 +428,31 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "m": instance.num_goods,
             "algorithm": suite.algorithm,
             **fields,
-            "product_alg": rational_to_json(fields["product_alg"]),
-            "product_opt": rational_to_json(fields["product_opt"]),
             "millis": millis,
         }
         rows.append(row)
         if not (row["ratio_pass"] and row["efx_pass"] in (True, "")):
             violations.append(idx)
-            _emit(instance_to_json(instance), repro)
+            _emit_reported(instance_to_json(instance), repro)
 
-    rows.append(
-        {
-            "instance_id": "TOTAL",
-            "n": "",
-            "m": "",
-            "algorithm": args.suite,
-            "branch": "",
-            "product_alg": "",
-            "product_opt": "",
-            "ratio_pass": all(r["ratio_pass"] for r in rows),
-            "efx_pass": all(r["efx_pass"] in (True, "") for r in rows),
-            "millis": sum(r["millis"] for r in rows),
-        }
+    total = dict.fromkeys(CSV_COLUMNS, "")
+    total.update(
+        instance_id="TOTAL",
+        algorithm=args.suite,
+        ratio_pass=all(r["ratio_pass"] for r in rows),
+        efx_pass=all(r["efx_pass"] in (True, "") for r in rows),
+        millis=sum(r["millis"] for r in rows),
     )
-    table = io.StringIO()
-    writer = csv.DictWriter(table, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
-    writer.writerows(rows)
-    _emit(table.getvalue(), args.out)
-
-    if violations:
-        print(
-            f"{len(violations)} guarantee violation(s): instances {violations}",
-            file=sys.stderr,
-        )
-        return EXIT_GUARANTEE
-    return EXIT_OK
+    rows.append(total)
+    if not violations:
+        _emit(_csv_table(rows), args.out)
+        return EXIT_OK
+    _emit_reported(_csv_table(rows), args.out)
+    print(
+        f"{len(violations)} guarantee violation(s): instances {violations}",
+        file=sys.stderr,
+    )
+    return EXIT_GUARANTEE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 Bundle = frozenset
@@ -25,6 +24,7 @@ __all__ = [
     "Instance",
     "InvariantViolationError",
     "KnapsackAnswer",
+    "MAX_GOODS",
     "StructuralError",
     "bundle_cost",
     "bundle_value",
@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
+
+# The knapsack, EF1, welfare and Pareto walks recurse once per good; this
+# keeps them well inside Python's default limit of 1,000 frames.
+MAX_GOODS = 512
 
 
 class FairDivisionError(Exception):
@@ -88,6 +92,8 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "costs", tuple(to_rational(c) for c in self.costs))
+        if len(self.costs) > MAX_GOODS:
+            raise StructuralError(f"{len(self.costs)} goods exceed the limit of {MAX_GOODS}")
         object.__setattr__(self, "budgets", tuple(to_rational(b) for b in self.budgets))
         object.__setattr__(
             self, "values", tuple(tuple(to_rational(v) for v in row) for row in self.values)
@@ -226,13 +232,6 @@ def knapsack_vmax(
     budget = to_rational(budget)
     if budget < 0:
         raise StructuralError("budget must be nonnegative")
-    return _knapsack_cached(instance, agent, pool, budget)
-
-
-@lru_cache(maxsize=1 << 18)
-def _knapsack_cached(
-    instance: Instance, agent: int, pool: Bundle, budget: Fraction
-) -> KnapsackAnswer:
     goods = sorted(pool)
     costs = instance.costs
     vals = instance.values[agent]

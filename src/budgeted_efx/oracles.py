@@ -278,21 +278,24 @@ def leximin_pp_split(
     Guarantees u(second) >= u(first minus any single good): if that failed
     for some good, moving the good across would improve the signature.
     """
-    pool = frozenset(pool)
-    goods = sorted(pool)
+    goods = sorted(frozenset(pool))
     n = len(goods)
+    full = (1 << n) - 1
+    # Each subset is valued once; the complement of ``mask`` is ``full ^ mask``.
+    parts = [
+        frozenset(goods[i] for i in range(n) if mask >> i & 1)
+        for mask in range(full + 1)
+    ]
+    keys = [(valuation(part), len(part)) for part in parts]
     best_sig: tuple | None = None
     best_first: tuple[int, ...] | None = None
-    best_pair: tuple[Bundle, Bundle] | None = None
-    for mask in range(1 << n):
-        first = frozenset(goods[i] for i in range(n) if mask >> i & 1)
-        second = pool - first
-        key_first = (valuation(first), len(first))
-        key_second = (valuation(second), len(second))
+    best_mask: int | None = None
+    for mask in range(full + 1):
+        key_first, key_second = keys[mask], keys[full ^ mask]
         if key_first < key_second:
             continue  # orientation with the preferred part first only
         sig = (key_second[0], key_second[1], key_first[0], key_first[1])
-        first_ids = tuple(sorted(first))
+        first_ids = tuple(sorted(parts[mask]))
         if (
             best_sig is None
             or sig > best_sig
@@ -300,9 +303,9 @@ def leximin_pp_split(
         ):
             best_sig = sig
             best_first = first_ids
-            best_pair = (first, second)
-    assert best_pair is not None
-    return SplitPair(best_pair[0], best_pair[1])
+            best_mask = mask
+    assert best_mask is not None
+    return SplitPair(parts[best_mask], parts[full ^ best_mask])
 
 
 def best_allocation_under_predicate(

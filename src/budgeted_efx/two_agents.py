@@ -318,17 +318,10 @@ def efx_2a(
             kept.remove(g)
             reserve.add(g)
             iterations += 1
-        configurations = [
-            (x_envier, frozenset(kept), frozenset(reserve)),
-            split_bundles(),
-            (x_envier, x_envied, frozenset()),
-        ]
     else:
         branch = "leximin_split"
-        bundles = split_bundles()
-        graph = build_feasibility_graph(instance, (envier, envied), bundles)
+        graph = build_feasibility_graph(instance, (envier, envied), split_bundles())
         matching = select_perfect_matching(graph, envied, envier)
-        configurations = [bundles, (x_envier, x_envied, frozenset())]
 
     if matching is not None and floors_hold(graph, matching):
         matched_envier = graph.bundles[matching[envier]]
@@ -343,6 +336,10 @@ def efx_2a(
         # agents to the reserve. Fall back to the best assignment, over the
         # current configuration, the split and the raw input bundles, that
         # passes a direct check of every promised property.
+        configurations = [graph.bundles]
+        if branch == "removal_loop":
+            configurations.append(split_bundles())
+        configurations.append((x_envier, x_envied, frozenset()))
         branch += "_certified"
         bundles, be, bd = certified_selection(configurations)
         matched_envier = bundles[be]

@@ -6,7 +6,8 @@ import pytest
 
 import budgeted_efx.cli as cli_mod
 from budgeted_efx.cli import main
-from budgeted_efx.model import InvariantViolationError
+from budgeted_efx.instances import gen_instances, instance_to_json
+from budgeted_efx.model import MAX_GOODS, InvariantViolationError
 from budgeted_efx.oracles import ExistenceViolationError
 
 
@@ -197,6 +198,39 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "no_such.json" in err
 
+    @staticmethod
+    def one_holder(tmp_path, m):
+        """Paths of an m-good instance and an allocation of every good to
+        agent 0; agent 1 affords nothing, so each search follows one path."""
+        instance = tmp_path / "inst.json"
+        instance.write_text(
+            json.dumps(
+                {
+                    "goods": [{"id": g, "cost": 1} for g in range(m)],
+                    "agents": [
+                        {"id": i, "budget": budget, "values": [1] * m}
+                        for i, budget in enumerate((m, 0))
+                    ],
+                }
+            )
+        )
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"bundles": [list(range(m)), []]}))
+        return str(instance), str(alloc)
+
+    def test_more_goods_than_the_limit_is_a_parse_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", *self.one_holder(tmp_path, 1500))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: 1500 goods exceed the limit of {MAX_GOODS}\n"
+
+    def test_an_instance_at_the_limit_verifies(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "verify", *self.one_holder(tmp_path, MAX_GOODS))
+        assert code == 0
+        report = report_of(out)
+        assert report["envy_free"] is True and report["ef1"] is True
+        assert report["pareto_efficient"] is True
+
 
 class TestBench:
     def test_two_agent_suite_smoke(self, capsys, tmp_path):
@@ -306,6 +340,34 @@ class TestBench:
         assert sorted(p.name for p in tmp_path.glob("repro_*")) == [
             "repro_two-agent_1.json"
         ]
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [r["instance_id"] for r in rows] == ["0"]
+
+    @pytest.mark.parametrize("failure", ["raised", "reported"])
+    def test_guarantee_failure_exits_2_when_nothing_can_be_written(
+        self, capsys, tmp_path, monkeypatch, failure
+    ):
+        def failing_measure(instance, search):
+            if failure == "raised":
+                raise InvariantViolationError("guaranteed property failed")
+            return {
+                "branch": "already_efx",
+                "product_alg": 0,
+                "product_opt": 1,
+                "ratio_pass": False,
+                "efx_pass": True,
+            }
+
+        failing_suite = dataclasses.replace(
+            cli_mod.BENCH_SUITES["two-agent"], count=1, measure=failing_measure
+        )
+        monkeypatch.setitem(cli_mod.BENCH_SUITES, "two-agent", failing_suite)
+        target = tmp_path / "no_such_dir" / "rows.csv"
+        code, _, err = run(
+            capsys, "bench", "--suite", "two-agent", "--out", str(target)
+        )
+        assert code == 2
+        assert str(target) in err
 
 
 @pytest.mark.parametrize(
@@ -323,6 +385,46 @@ def test_out_in_a_missing_directory_is_a_usage_error(argv, t1_path, capsys, tmp_
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and str(target) in err
+
+
+class TestSolveAndBenchAgree:
+    def test_a_broken_envier_floor_fails_both(self, capsys, tmp_path, monkeypatch):
+        # Instance 20 of the two-agent suite ends in a one-sided branch in
+        # which the envied agent loses value. Naming the other agent as the
+        # envier then breaks envier_keeps_input_value and nothing else.
+        real_efx_2a = cli_mod.efx_2a
+
+        def misnamed_envier(*args):
+            result = real_efx_2a(*args)
+            if result.envier is None:
+                return result
+            return dataclasses.replace(result, envier=1 - result.envier)
+
+        monkeypatch.setattr(cli_mod, "efx_2a", misnamed_envier)
+        suite = cli_mod.BENCH_SUITES["two-agent"]
+        instance = gen_instances(suite.seed, 21, suite.agents, suite.goods)[20]
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(instance_to_json(instance))
+
+        code, out, _ = run(capsys, "solve", str(inst_path), "--algorithm", "efx2")
+        assert code == 2
+        report = report_of(out)
+        assert report["trace"]["branch"] == "leximin_split"
+        assert [c["name"] for c in report["ratio_checks"] if not c["pass"]] == [
+            "envier_keeps_input_value"
+        ]
+
+        out_csv = tmp_path / "rows.csv"
+        code, _, _ = run(
+            capsys, "bench", "--suite", "two-agent", "--count", "21",
+            "--out", str(out_csv),
+        )
+        assert code == 2
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [r["instance_id"] for r in rows if r["ratio_pass"] == "False"] == [
+            "20",
+            "TOTAL",
+        ]
 
 
 class TestReportContract:

@@ -1,9 +1,11 @@
-"""Byte-exact CLI outputs pinned against committed golden files.
+"""Byte-exact outputs pinned against the committed files in ``tests/golden``.
 
-Refactors that promise unchanged outputs are checked here: each case runs
-the CLI in-process and compares its output with ``tests/golden/cli_*``.
-Bench CSVs drop the ``millis`` column, the only field that depends on the
-machine. To refreeze after a deliberate output change, run
+Refactors that promise unchanged outputs are checked here: each ``cli_*``
+case runs the CLI in-process and compares its output with its golden file,
+and ``gen_n2_seed1.json`` pins the instance generator's sampling. Bench CSVs
+drop the ``millis`` column, the only field that depends on the machine.
+This is the one refreeze entry point for everything in ``tests/golden``;
+after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from budgeted_efx.cli import main
+from budgeted_efx.instances import gen_instances, serialize_instance
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 T1 = Path(__file__).resolve().parent.parent / "fixtures" / "t1.json"
@@ -30,6 +33,7 @@ CASES = {
     "cli_verify_t1_01_2.json": ("verify", [[0, 1], [2]]),
     "cli_verify_t1_0_1.json": ("verify", [[0], [1]]),
     "cli_bench_three-agent_20.csv": ("bench", "three-agent", 20),
+    "gen_n2_seed1.json": ("gen", 1, 3, 2, (5, 5)),
 }
 
 
@@ -46,8 +50,11 @@ def _without_millis(text: str) -> str:
 
 
 def render(name: str, workdir: Path) -> str:
-    """Run the CLI for one case, writing into ``workdir``; return the output."""
+    """Render one case, writing CLI outputs into ``workdir``; return the text."""
     command, *params = CASES[name]
+    if command == "gen":
+        docs = [serialize_instance(i) for i in gen_instances(*params)]
+        return json.dumps(docs, indent=2, sort_keys=True) + "\n"
     out = workdir / name
     if command == "solve":
         argv = ["solve", str(T1), "--algorithm", params[0]]

@@ -144,6 +144,18 @@ class TestLeximinSplit:
             for g in split.first:
                 assert u(split.second) >= u(split.first - {g})
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_each_subset_is_valued_once(self, n):
+        valued = []
+
+        def u(part):
+            valued.append(part)
+            return F(sum(part))
+
+        leximin_pp_split(range(n), u)
+        assert len(valued) == 2**n
+        assert len(set(valued)) == 2**n
+
 
 class TestBestUnderPredicate:
     def test_t1_best_ef1_is_the_singleton_split(self, t1):

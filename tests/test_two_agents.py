@@ -14,7 +14,8 @@ from budgeted_efx.model import (
     make_allocation,
     nsw_product,
 )
-from budgeted_efx.oracles import max_nsw_allocation
+from budgeted_efx import two_agents
+from budgeted_efx.oracles import leximin_pp_split, max_nsw_allocation
 from budgeted_efx.two_agents import (
     build_feasibility_graph,
     efx_2a,
@@ -225,6 +226,19 @@ class TestEfx2a:
         assert result.allocation.bundles == (frozenset({1}), frozenset({2}))
         assert result.unallocated_r == frozenset({0})
         assert_result_invariants(inst, seed, result)
+
+    def test_removal_loop_does_not_split(self, monkeypatch):
+        splits = []
+
+        def counting_split(*args):
+            splits.append(args)
+            return leximin_pp_split(*args)
+
+        monkeypatch.setattr(two_agents, "leximin_pp_split", counting_split)
+        inst = build([1, 1, 1], [2, 2], [[6, 7, 5], [3, 4, 4]])
+        seed = make_allocation(inst, [{0}, {1, 2}])
+        assert efx_2a(inst, (0, 1), seed).branch == "removal_loop"
+        assert splits == []
 
     def test_empty_versus_full_split(self):
         # the call pattern used when two agents share one agent's bundle
