@@ -188,20 +188,18 @@ def allocation_to_payload(allocation: Allocation) -> dict:
     }
 
 
-def _has_positive_product(instance: Instance) -> bool:
+def _has_positive_product(
+    costs: list[int], budgets: list[int], values: list[list[int]]
+) -> bool:
     # A positive welfare product is reachable iff each agent can be matched
     # to a distinct affordable good she values positively.
     candidates = [
-        [
-            g
-            for g in range(instance.num_goods)
-            if instance.values[i][g] > 0 and instance.costs[g] <= instance.budgets[i]
-        ]
-        for i in range(instance.num_agents)
+        [g for g, (c, v) in enumerate(zip(costs, row)) if v > 0 and c <= cap]
+        for cap, row in zip(budgets, values)
     ]
 
     def match(i: int, used: set[int]) -> bool:
-        if i == instance.num_agents:
+        if i == len(candidates):
             return True
         return any(
             g not in used and match(i + 1, used | {g}) for g in candidates[i]
@@ -245,18 +243,14 @@ def gen_instances(
     for _ in range(count):
         for _attempt in range(max_retries):
             m = rng.randint(*m_range)
-            costs = tuple(Fraction(rng.randint(*cost_range)) for _ in range(m))
+            costs = [rng.randint(*cost_range) for _ in range(m)]
             base = rng.randint(max(1, cost_range[0]), max(2, 2 * cost_range[1]))
-            budgets = tuple(
-                Fraction(rng.randint(base, base * budget_spread)) for _ in range(n)
-            )
-            values = tuple(
-                tuple(Fraction(rng.randint(*value_range)) for _ in range(m))
-                for _ in range(n)
-            )
-            candidate = Instance(costs, budgets, values)
-            if _has_positive_product(candidate):
-                out.append(candidate)
+            budgets = [rng.randint(base, base * budget_spread) for _ in range(n)]
+            values = [[rng.randint(*value_range) for _ in range(m)] for _ in range(n)]
+            if _has_positive_product(costs, budgets, values):
+                out.append(
+                    Instance(tuple(costs), tuple(budgets), tuple(map(tuple, values)))
+                )
                 break
         else:
             raise GenerationError(

@@ -1,9 +1,11 @@
 """Exact domain model for budget-constrained fair division.
 
 Instances, bundles, allocations, and the budget-aware fairness and
-efficiency predicates. All arithmetic is exact rational arithmetic via
-:class:`fractions.Fraction`; floating point is rejected at the boundary
-because every predicate in this package compares exact sums.
+efficiency predicates. All arithmetic is exact: numbers are
+:class:`fractions.Fraction` everywhere except inside the welfare branch and
+bound (``oracles._welfare_walk``), which searches on integers scaled over
+common denominators. Floating point is rejected at the boundary because
+every predicate in this package compares exact sums.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ class InvariantViolationError(FairDivisionError):
 
 def to_rational(x: RationalLike) -> Fraction:
     """Convert to an exact rational, rejecting floats outright."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise StructuralError(
             f"floating point value {x!r} is not allowed; pass an int, a 'p/q' "
@@ -107,11 +111,11 @@ class Instance:
                 raise StructuralError(
                     f"agent {i} has {len(row)} values but there are {len(self.costs)} goods"
                 )
-        if any(c < 0 for c in self.costs):
+        if any(c.numerator < 0 for c in self.costs):
             raise StructuralError("costs must be nonnegative")
-        if any(b < 0 for b in self.budgets):
+        if any(b.numerator < 0 for b in self.budgets):
             raise StructuralError("budgets must be nonnegative")
-        if any(v < 0 for row in self.values for v in row):
+        if any(v.numerator < 0 for row in self.values for v in row):
             raise StructuralError("values must be nonnegative")
 
     @property

@@ -9,6 +9,7 @@ enumeration cap is hit they fail loudly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -107,6 +108,12 @@ def max_nsw_allocation(
     return found[0]
 
 
+def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``xs`` times the LCM of their denominators, as ints, and that LCM."""
+    lcm = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (lcm // x.denominator) for x in xs], lcm
+
+
 def _welfare_walk(
     instance: Instance,
     agents: Sequence[int],
@@ -122,6 +129,13 @@ def _welfare_walk(
     incumbent, and a subtree is pruned only when its product bound does not.
     The bound caps every leaf below the node whatever ``accept`` says, so no
     pruned leaf could have replaced the incumbent.
+
+    The search runs on integers. Costs and budgets are scaled by the LCM of
+    their denominators, so every feasibility test is unchanged. Agent a's
+    values are scaled by their own LCM L_a, so every leaf product and every
+    bound is the exact one times the positive constant prod(L_a): the
+    comparisons, the pruning and the first optimum are unchanged, and the
+    returned product is the best scaled product divided by prod(L_a).
     """
     agents = tuple(sorted(set(agents)))
     if not agents:
@@ -131,16 +145,24 @@ def _welfare_walk(
     pool = instance.check_bundle(pool)
     goods = sorted(pool)
     k = len(agents)
-    caps = [instance.budgets[a] for a in agents]
-    vals = [instance.values[a] for a in agents]
-    costs = instance.costs
     n = len(goods)
 
-    suffix = [[ZERO] * (n + 1) for _ in range(k)]
+    amounts, _ = _over_common_denominator(
+        [instance.costs[g] for g in goods] + [instance.budgets[a] for a in agents]
+    )
+    costs, caps = amounts[:n], amounts[n:]
+    vals: list[list[int]] = []
+    value_scale = 1
+    for a in agents:
+        row, lcm = _over_common_denominator([instance.values[a][g] for g in goods])
+        vals.append(row)
+        value_scale *= lcm
+
+    suffix = [[0] * (n + 1) for _ in range(k)]
     for ai in range(k):
         row = suffix[ai]
         for idx in range(n - 1, -1, -1):
-            row[idx] = row[idx + 1] + vals[ai][goods[idx]]
+            row[idx] = row[idx + 1] + vals[ai][idx]
 
     def to_allocation(codes: Sequence[int]) -> Allocation:
         bundles: list[set[int]] = [set() for _ in range(instance.num_agents)]
@@ -150,19 +172,17 @@ def _welfare_walk(
         return Allocation(tuple(frozenset(b) for b in bundles), pool)
 
     counter = _Counter(budget.max_assignments)
-    spent = [ZERO] * k
-    acc = [ZERO] * k
+    spent = [0] * k
+    acc = [0] * k
     assign = [k] * n
-    best_product: Fraction | None = None
+    best_product: int | None = None
     best_assign: tuple[int, ...] | None = None
 
     def walk(idx: int) -> None:
         nonlocal best_product, best_assign
         if idx == n:
             counter.tick()
-            product = ONE
-            for v in acc:
-                product *= v
+            product = math.prod(acc)
             if best_product is not None and product <= best_product:
                 return
             if accept is not None and not accept(instance, to_allocation(assign)):
@@ -171,20 +191,20 @@ def _welfare_walk(
             best_assign = tuple(assign)
             return
         if best_product is not None:
-            bound = ONE
+            bound = 1
             for ai in range(k):
                 bound *= acc[ai] + suffix[ai][idx]
             if bound <= best_product:
                 return
-        g = goods[idx]
+        cost = costs[idx]
         for code in range(k):
-            with_g = spent[code] + costs[g]
+            with_g = spent[code] + cost
             if with_g > caps[code]:
                 continue
             assign[idx] = code
             old_spent, old_acc = spent[code], acc[code]
             spent[code] = with_g
-            acc[code] = old_acc + vals[code][g]
+            acc[code] = old_acc + vals[code][idx]
             walk(idx + 1)
             spent[code], acc[code] = old_spent, old_acc
         assign[idx] = k
@@ -193,7 +213,7 @@ def _welfare_walk(
     walk(0)
     if best_assign is None:
         return None
-    return to_allocation(best_assign), best_product
+    return to_allocation(best_assign), Fraction(best_product, value_scale)
 
 
 def complete_efx_allocation(

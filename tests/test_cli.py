@@ -1,9 +1,14 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import budgeted_efx
 import budgeted_efx.cli as cli_mod
 from budgeted_efx.cli import main
 from budgeted_efx.instances import gen_instances, instance_to_json
@@ -467,3 +472,43 @@ class TestUsage:
 
     def test_missing_arguments(self, capsys):
         assert main(["solve"]) == 1
+
+
+class TestOneParser:
+    """``main`` parses with one parser built at import."""
+
+    def test_main_does_not_rebuild_the_parser(self, t1_path, capsys, monkeypatch):
+        def no_rebuild():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli_mod, "build_parser", no_rebuild)
+        code, out, _ = run(capsys, "solve", str(t1_path), "--algorithm", "efx2")
+        assert code == 0
+        assert report_of(out)["trace"]["branch"] == "leximin_split"
+        assert main(["solve"]) == 1
+
+    def test_help_text_is_unchanged(self, capsys):
+        fresh = cli_mod.build_parser().format_help()
+        for _ in range(2):
+            code, out, _ = run(capsys, "--help")
+            assert code == 0
+            assert out == fresh
+
+    def test_calls_in_one_process_match_fresh_processes(self, t1_path, capsys, tmp_path):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"bundles": [[0, 1], [2]]}))
+        calls = [
+            ["solve", str(t1_path), "--algorithm", "efx2"],
+            ["verify", str(t1_path), str(alloc)],
+            ["solve", str(t1_path), "--algorithm", "efx2"],
+        ]
+        in_process = [run(capsys, *argv)[:2] for argv in calls]
+        env = dict(os.environ, PYTHONPATH=str(Path(budgeted_efx.__file__).parents[1]))
+        for argv, (code, out) in zip(calls, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "budgeted_efx", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert (fresh.returncode, fresh.stdout) == (code, out)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -145,6 +146,28 @@ class TestGeneration:
             serialize_instance(i) for i in gen_instances(1, 3, 2, (5, 5))
         ]
         assert regenerated == golden
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                (1, 200, 2, (2, 10)),
+                "65d19075485fc04a8e787fd4a7bca4292f52e942f7d0d3b3b1ddc7e9d5d159aa",
+            ),
+            (
+                (3, 100, 3, (4, 9)),
+                "bccf6bda795c13dfd9f37582450a2d67a3db3e53d91c44d10603ccd118965c86",
+            ),
+        ],
+        ids=["two-agent", "three-agent"],
+    )
+    def test_bench_corpora_are_frozen(self, args, digest):
+        # The two-agent and three-agent bench suites' default draws, frozen
+        # when instances were still built before the solvability check.
+        h = hashlib.sha256()
+        for inst in gen_instances(*args):
+            h.update(instance_to_json(inst).encode())
+        assert h.hexdigest() == digest
 
     def test_spread_one_means_equal_budgets(self):
         for inst in gen_instances(5, 6, 3, (3, 6), budget_spread=1):

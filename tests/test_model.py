@@ -18,6 +18,7 @@ from budgeted_efx.model import (
     monopoly_value,
     normalize,
     nsw_product,
+    to_rational,
 )
 from budgeted_efx.oracles import knapsack_by_enumeration
 
@@ -225,7 +226,22 @@ class TestStructure:
         with pytest.raises(StructuralError):
             build([0.5], [1], [[1]])
 
+    def test_fractions_pass_through_and_other_inputs_convert(self):
+        half = F(1, 2)
+        assert to_rational(half) is half
+        assert to_rational("6/4") == F(3, 2)
+        assert type(to_rational(3)) is Fraction
+        with pytest.raises(StructuralError):
+            to_rational(0.5)
+
     def test_negative_quantities_rejected(self):
+        for negative in (F(-1, 2), "-1/3"):
+            with pytest.raises(StructuralError):
+                build([negative], [1], [[1]])
+            with pytest.raises(StructuralError):
+                build([1], [negative], [[1]])
+            with pytest.raises(StructuralError):
+                build([1], [1], [[negative]])
         with pytest.raises(StructuralError):
             build([-1], [1], [[1]])
         with pytest.raises(StructuralError):

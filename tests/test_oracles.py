@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from budgeted_efx.instances import gen_instances
 from budgeted_efx.model import (
+    DegenerateOptimumError,
     StructuralError,
     bundle_value,
     is_ef1,
     is_efx,
     make_allocation,
     monopoly_value,
+    normalize,
     nsw_product,
 )
 from budgeted_efx.oracles import (
@@ -66,6 +69,118 @@ class TestMaxNswAllocation:
     def test_empty_agent_list_rejected(self, t1):
         with pytest.raises(StructuralError):
             max_nsw_allocation(t1, (), t1.all_goods())
+
+
+def rational_instance(rng: random.Random, n: int, m: int):
+    """Costs over mixed denominators, budgets over 11 (which no cost
+    denominator divides), values normalized by the welfare optimum as the
+    three-agent pipeline normalizes them."""
+    costs = [F(rng.randint(0, 30), rng.choice((1, 2, 3, 4, 6))) for _ in range(m)]
+    budgets = [F(11 * rng.randint(0, 4) + rng.randint(1, 10), 11) for _ in range(n)]
+    values = [
+        [F(rng.randint(0, 20), rng.choice((1, 2, 5, 7))) for _ in range(m)]
+        for _ in range(n)
+    ]
+    inst = build(costs, budgets, values)
+    opt, _ = max_nsw_by_enumeration(inst, range(n), inst.all_goods())
+    try:
+        return normalize(inst, opt)
+    except DegenerateOptimumError:
+        return inst
+
+
+def agents_product(instance, allocation, agents):
+    product = F(1)
+    for a in agents:
+        product *= bundle_value(instance, a, allocation.bundles[a])
+    return product
+
+
+class TestRationalWelfareWalk:
+    """The walk searches on integers scaled over common denominators; on
+    non-integer inputs it must still agree exactly with the Fraction-based
+    enumeration oracles."""
+
+    def test_max_nsw_matches_enumeration_on_rationals(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            n = rng.choice((2, 3))
+            inst = rational_instance(rng, n, rng.randint(1, 6))
+            agents = rng.sample(range(n), rng.randint(1, n))
+            pool = {g for g in range(inst.num_goods) if rng.random() < 0.8}
+            fast = max_nsw_allocation(inst, agents, pool)
+            slow, slow_product = max_nsw_by_enumeration(inst, agents, pool)
+            assert fast.bundles == slow.bundles
+            assert fast.scope == slow.scope
+            assert agents_product(inst, fast, agents) == slow_product
+
+    def test_inputs_are_really_non_integer(self):
+        rng = random.Random(41)
+        insts = [rational_instance(rng, 3, 5) for _ in range(10)]
+        assert any(c.denominator > 1 for i in insts for c in i.costs)
+        assert all(b.denominator == 11 for i in insts for b in i.budgets)
+        assert any(v.denominator > 1 for i in insts for row in i.values for v in row)
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [is_efx, is_ef1, lambda i, a: True],
+        ids=["efx", "ef1", "always"],
+    )
+    def test_predicate_walk_matches_literal_enumeration_on_rationals(self, predicate):
+        rng = random.Random(43)
+        for _ in range(25):
+            inst = rational_instance(rng, rng.choice((2, 3)), rng.randint(1, 5))
+            found = best_allocation_under_predicate(inst, predicate)
+            expected = literal_best_under_predicate(inst, predicate)
+            if expected is None:
+                assert found is None
+            else:
+                assert found is not None
+                assert found[0].bundles == expected[0].bundles
+                assert found[1] == expected[1]
+                assert type(found[1]) is Fraction
+
+
+# Leaves each search ticks, frozen from the Fraction-based walk, as
+# (gen_instances seed and goods for three agents, or None for t1,
+# max_nsw_allocation leaves, best_allocation_under_predicate(is_efx) leaves).
+# The three drawn instances have bounds equal to the incumbent, so pruning
+# on ``bound < best`` instead of ``bound <= best`` changes every count.
+SEARCH_SPEND = [
+    (None, 4, 4),
+    ((17, 6), 102, 157),
+    ((16, 7), 824, 1024),
+    ((17, 8), 124, 368),
+]
+SPEND_IDS = ["t1", "3x6", "3x7", "3x8"]
+
+
+def spend_instance(drawn, t1):
+    if drawn is None:
+        return t1
+    seed, m = drawn
+    return gen_instances(seed, 1, 3, (m, m))[0]
+
+
+class TestSearchSpend:
+    """The cap counts exactly the leaves it counted before: a budget of L
+    leaves suffices and L - 1 does not. This pins pruning and the place of
+    the tick, which a small-cap test alone does not."""
+
+    @pytest.mark.parametrize("drawn, leaves, _", SEARCH_SPEND, ids=SPEND_IDS)
+    def test_max_nsw_spends_exactly(self, t1, drawn, leaves, _):
+        inst = spend_instance(drawn, t1)
+        agents, goods = range(inst.num_agents), inst.all_goods()
+        max_nsw_allocation(inst, agents, goods, SearchBudget(leaves))
+        with pytest.raises(SearchCapExceededError):
+            max_nsw_allocation(inst, agents, goods, SearchBudget(leaves - 1))
+
+    @pytest.mark.parametrize("drawn, _, leaves", SEARCH_SPEND, ids=SPEND_IDS)
+    def test_predicate_walk_spends_exactly(self, t1, drawn, _, leaves):
+        inst = spend_instance(drawn, t1)
+        assert best_allocation_under_predicate(inst, is_efx, SearchBudget(leaves))
+        with pytest.raises(SearchCapExceededError):
+            best_allocation_under_predicate(inst, is_efx, SearchBudget(leaves - 1))
 
 
 class TestCompleteEfxAllocation:
