@@ -97,6 +97,8 @@ def parse_instance(source: str | Path | dict) -> Instance:
         if not isinstance(entry, dict) or "id" not in entry or "cost" not in entry:
             raise ParseError(f"{where}: expected an object with 'id' and 'cost'")
         gid = entry["id"]
+        if isinstance(gid, bool) or not isinstance(gid, int):
+            raise ParseError(f"{where}: good id must be an integer, got {gid!r}")
         if gid in seen_goods:
             raise ParseError(f"{where}: duplicate good id {gid}")
         if gid != pos:
@@ -114,6 +116,8 @@ def parse_instance(source: str | Path | dict) -> Instance:
                 f"{where}: expected an object with 'id', 'budget' and 'values'"
             )
         aid = entry["id"]
+        if isinstance(aid, bool) or not isinstance(aid, int):
+            raise ParseError(f"{where}: agent id must be an integer, got {aid!r}")
         if aid in seen_agents:
             raise ParseError(f"{where}: duplicate agent id {aid}")
         if aid != pos:
@@ -173,8 +177,12 @@ def parse_allocation(source: str | Path | dict, instance: Instance) -> Allocatio
             f"'bundles' must list one array per agent ({instance.num_agents})"
         )
     for i, b in enumerate(bundles):
-        if not isinstance(b, list) or not all(isinstance(g, int) for g in b):
+        if not isinstance(b, list) or not all(
+            isinstance(g, int) and not isinstance(g, bool) for g in b
+        ):
             raise ParseError(f"bundles[{i}] must be an array of good ids")
+        if len(set(b)) != len(b):
+            raise ParseError(f"bundles[{i}] lists a good more than once")
     try:
         return make_allocation(instance, [frozenset(b) for b in bundles])
     except StructuralError as exc:

@@ -2,17 +2,20 @@
 
 Instances, bundles, allocations, and the budget-aware fairness and
 efficiency predicates. All arithmetic is exact: numbers are
-:class:`fractions.Fraction` everywhere except inside the welfare branch and
-bound (``oracles._welfare_walk``), which searches on integers scaled over
-common denominators. Floating point is rejected at the boundary because
-every predicate in this package compares exact sums.
+:class:`fractions.Fraction` everywhere except inside two kernels that run on
+integers scaled over common denominators, the welfare branch and bound
+(``oracles._welfare_walk``) and the leave-one-out knapsack engine
+(``_LeaveOneOut``) behind the envy, EFx and EF1 predicates and the
+feasibility graph. Floating point is rejected at the boundary because every
+predicate in this package compares exact sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Bundle = frozenset
 RationalLike = Union[Fraction, int, str]
@@ -46,8 +49,8 @@ __all__ = [
 
 ZERO = Fraction(0)
 
-# The knapsack, EF1, welfare and Pareto walks recurse once per good; this
-# keeps them well inside Python's default limit of 1,000 frames.
+# The knapsack, welfare and Pareto walks recurse once per good; this keeps
+# them well inside Python's default limit of 1,000 frames.
 MAX_GOODS = 512
 
 
@@ -130,13 +133,17 @@ class Instance:
         return frozenset(range(self.num_goods))
 
     def check_agent(self, agent: int) -> None:
-        if not isinstance(agent, int) or not 0 <= agent < self.num_agents:
+        if (
+            isinstance(agent, bool)
+            or not isinstance(agent, int)
+            or not 0 <= agent < self.num_agents
+        ):
             raise StructuralError(f"unknown agent id {agent!r}")
 
     def check_bundle(self, bundle: Iterable[int]) -> Bundle:
         bundle = frozenset(bundle)
         for g in bundle:
-            if not isinstance(g, int) or not 0 <= g < self.num_goods:
+            if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < self.num_goods:
                 raise StructuralError(f"unknown good id {g!r}")
         return bundle
 
@@ -289,26 +296,156 @@ def monopoly_value(instance: Instance, agent: int, budget: RationalLike) -> Frac
     return knapsack_vmax(instance, agent, instance.all_goods(), budget).value
 
 
+def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``xs`` times the LCM of their denominators, as ints, and that LCM."""
+    lcm = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (lcm // x.denominator) for x in xs], lcm
+
+
+# The engine keeps |T| + 1 suffix frontiers of at most min(2^|T|, B + 1)
+# entries each (B the scaled budget). Past this many entries in the worst
+# case it calls knapsack_vmax once per removed good instead.
+_FRONTIER_ENTRIES = 1 << 16
+
+
+def _with_good(front: list, cost: int, value: int, cap: int) -> list:
+    # The Pareto frontier of the subsets in ``front`` with and without one
+    # more good: (cost, value) pairs, cost ascending and at most ``cap``,
+    # value strictly ascending.
+    if cost > cap:
+        return front
+    merged = front + [(c + cost, v + value) for c, v in front if c + cost <= cap]
+    merged.sort()
+    out = [merged[0]]
+    for c, v in merged:
+        if v > out[-1][1]:
+            if c == out[-1][0]:
+                out[-1] = (c, v)
+            else:
+                out.append((c, v))
+    return out
+
+
+def _best_of_two(left: list, right: list, cap: int) -> int:
+    # The largest v1 + v2 over (c1, v1) in ``left`` and (c2, v2) in
+    # ``right`` with c1 + c2 <= cap. Both frontiers start at cost 0.
+    j = len(right) - 1
+    best = 0
+    for c, v in left:
+        if c > cap:
+            break
+        room = cap - c
+        while right[j][0] > room:
+            j -= 1
+        if v + right[j][1] > best:
+            best = v + right[j][1]
+    return best
+
+
+class _LeaveOneOut:
+    """Knapsack answers for one agent over one bundle T: the best value of an
+    affordable subset of T, and for each good h of T the best value of an
+    affordable subset of T - h.
+
+    Answers come in one unit shared with ``own``, the value they are compared
+    with. When T is affordable whole they are sums of Fractions. Otherwise
+    the costs of T and the budget are scaled to ints by the LCM of their
+    denominators, the values of T and ``own`` by another LCM, and the answers
+    are ints read off Pareto frontiers of (cost, value) cut at the budget
+    (Nemhauser and Ullmann, 1969): one frontier per suffix of T, built once,
+    and a running prefix frontier; the best value of T - h merges the
+    frontiers on either side of h. When those frontiers could grow past
+    ``_FRONTIER_ENTRIES``, the answers are :func:`knapsack_vmax` values.
+    """
+
+    def __init__(
+        self, instance: Instance, agent: int, target: Bundle, own: Fraction = ZERO
+    ) -> None:
+        self.goods = goods = sorted(target)
+        budget = instance.budgets[agent]
+        costs = [instance.costs[g] for g in goods]
+        row = instance.values[agent]
+        vals = [row[g] for g in goods]
+        self.own, self.scale = own, 1
+        if sum(costs, ZERO) <= budget:
+            self.best = sum(vals, ZERO)
+            self._vals = vals
+            self.without = self._from_sums
+            return
+        n = len(goods)
+        scaled, _ = _over_common_denominator(costs + [budget])
+        cap = scaled.pop()
+        if (n + 1) * min(1 << n, cap + 1) > _FRONTIER_ENTRIES:
+            self._args = (instance, agent, frozenset(goods), budget, costs)
+            self.best = knapsack_vmax(instance, agent, goods, budget).value
+            self.without = self._per_drop
+            return
+        vals, self.scale = _over_common_denominator(vals + [own])
+        self.own = vals.pop()
+        suffixes = [[(0, 0)]]
+        for c, v in zip(reversed(scaled), reversed(vals)):
+            suffixes.append(_with_good(suffixes[-1], c, v, cap))
+        suffixes.reverse()
+        self.best = suffixes[0][-1][1]
+        self._frontier = (scaled, vals, cap, suffixes)
+        self.without = self._from_frontiers
+
+    def _from_sums(self, ef1: bool) -> Iterator[tuple[int, Fraction]]:
+        # T - h costs at most B - c(h), so for EFx and EF1 alike the answer
+        # is all of T - h.
+        return ((g, self.best - v) for g, v in zip(self.goods, self._vals))
+
+    def _per_drop(self, ef1: bool) -> Iterator[tuple[int, Fraction]]:
+        instance, agent, target, budget, costs = self._args
+        for g, c in zip(self.goods, costs):
+            room = budget - c if ef1 else budget
+            if room >= 0:
+                yield g, knapsack_vmax(instance, agent, target - {g}, room).value
+
+    def _from_frontiers(self, ef1: bool) -> Iterator[tuple[int, int]]:
+        costs, vals, cap, suffixes = self._frontier
+        prefix = [(0, 0)]
+        for k, g in enumerate(self.goods):
+            room = cap - costs[k] if ef1 else cap
+            if room >= 0:
+                yield g, _best_of_two(prefix, suffixes[k + 1], room)
+            prefix = _with_good(prefix, costs[k], vals[k], cap)
+
+    def fraction(self, amount: Fraction | int) -> Fraction:
+        return Fraction(amount, self.scale)
+
+    def envies(self) -> bool:
+        return self.best > self.own
+
+    def _violators(self, ef1: bool) -> Iterator[int]:
+        # Goods h, ascending, whose removal still leaves more than ``own``:
+        # at budget B (EFx), or with h kept, at budget B - c(h) (EF1).
+        if not self.envies():
+            return iter(())
+        return (g for g, best in self.without(ef1) if best > self.own)
+
+    def efx_drop(self) -> int | None:
+        """The smallest good of T whose removal still leaves the agent an
+        affordable subset worth more than ``own``; None when there is none."""
+        return next(self._violators(False), None)
+
+    def ef1_envies(self) -> bool:
+        """Whether some affordable nonempty S of T, without its least valued
+        good, is worth more than ``own``.
+
+        v(S) minus its least good value is the largest v(S - h) over h in
+        S, so this holds exactly when for some h in T with c(h) <= B the best
+        affordable subset of T - h at budget B - c(h) beats ``own``.
+        """
+        return next(self._violators(True), None) is not None
+
+
 def envies(
     instance: Instance, allocation: Allocation, agent: int, target: Iterable[int]
 ) -> bool:
     """Budget-aware envy: some affordable subset of ``target`` beats the own bundle."""
     own = bundle_value(instance, agent, allocation.bundles[agent])
-    best = knapsack_vmax(instance, agent, target, instance.budgets[agent]).value
-    return best > own
-
-
-def _first_efx_drop(
-    instance: Instance, own_value: Fraction, agent: int, target: Bundle
-) -> tuple[int, KnapsackAnswer] | None:
-    # The smallest good of ``target`` whose removal still leaves the agent an
-    # affordable subset worth more than ``own_value``, with that subset.
-    budget = instance.budgets[agent]
-    for g in sorted(target):
-        answer = knapsack_vmax(instance, agent, target - {g}, budget)
-        if answer.value > own_value:
-            return g, answer
-    return None
+    return _LeaveOneOut(instance, agent, instance.check_bundle(target), own).envies()
 
 
 def efx_envies(
@@ -321,36 +458,10 @@ def efx_envies(
     good g in S): the maximizing subset of ``target`` minus a good is itself
     budget-feasible, and any witness yields such a removed good.
     """
+    instance.check_agent(agent)
     own_value = to_rational(own_value)
     target = instance.check_bundle(target)
-    return _first_efx_drop(instance, own_value, agent, target) is not None
-
-
-def _ef1_envies(
-    instance: Instance, own_value: Fraction, agent: int, target: Bundle
-) -> bool:
-    # Violation iff some feasible nonempty S <= target has
-    # v(S) - min_{g in S} v(g) > own_value.
-    goods = sorted(target)
-    costs = instance.costs
-    vals = instance.values[agent]
-    budget = instance.budgets[agent]
-    n = len(goods)
-
-    def walk(idx: int, cost: Fraction, value: Fraction, lowest: Fraction | None) -> bool:
-        if lowest is not None and value - lowest > own_value:
-            return True
-        if idx == n:
-            return False
-        g = goods[idx]
-        with_g = cost + costs[g]
-        if with_g <= budget:
-            new_low = vals[g] if lowest is None else min(lowest, vals[g])
-            if walk(idx + 1, with_g, value + vals[g], new_low):
-                return True
-        return walk(idx + 1, cost, value, lowest)
-
-    return walk(0, ZERO, ZERO, None)
+    return _LeaveOneOut(instance, agent, target, own_value).efx_drop() is not None
 
 
 @dataclass(frozen=True)
@@ -376,9 +487,10 @@ def efx_violation(instance: Instance, allocation: Allocation) -> EfxViolation | 
         for j in range(instance.num_agents):
             if i == j:
                 continue
-            found = _first_efx_drop(instance, own, i, allocation.bundles[j])
-            if found is not None:
-                g, answer = found
+            target = allocation.bundles[j]
+            g = _LeaveOneOut(instance, i, target, own).efx_drop()
+            if g is not None:
+                answer = knapsack_vmax(instance, i, target - {g}, instance.budgets[i])
                 return EfxViolation(i, j, tuple(sorted(answer.witness | {g})), g)
     return None
 
@@ -389,11 +501,15 @@ def is_efx(instance: Instance, allocation: Allocation) -> bool:
 
 
 def is_ef1(instance: Instance, allocation: Allocation) -> bool:
-    """Envy-freeness up to one good, measured against budget-feasible sub-bundles."""
+    """Envy-freeness up to one good, measured against budget-feasible
+    sub-bundles: no affordable nonempty subset of another bundle, without its
+    least valued good, is worth more than the own bundle."""
     for i in range(instance.num_agents):
         own = bundle_value(instance, i, allocation.bundles[i])
         for j in range(instance.num_agents):
-            if i != j and _ef1_envies(instance, own, i, allocation.bundles[j]):
+            if i == j:
+                continue
+            if _LeaveOneOut(instance, i, allocation.bundles[j], own).ef1_envies():
                 return False
     return True
 

@@ -22,6 +22,7 @@ from .model import (
     InvariantViolationError,
     StructuralError,
     ZERO,
+    _over_common_denominator,
     bundle_cost,
     bundle_value,
     is_efx,
@@ -106,12 +107,6 @@ def max_nsw_allocation(
     found = _welfare_walk(instance, agents, pool, budget)
     assert found is not None
     return found[0]
-
-
-def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``xs`` times the LCM of their denominators, as ints, and that LCM."""
-    lcm = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (lcm // x.denominator) for x in xs], lcm
 
 
 def _welfare_walk(

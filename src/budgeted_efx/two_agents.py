@@ -18,6 +18,7 @@ from .model import (
     Instance,
     InvariantViolationError,
     StructuralError,
+    _LeaveOneOut,
     bundle_cost,
     bundle_value,
     efx_envies,
@@ -87,20 +88,18 @@ def build_feasibility_graph(
     values: list[tuple[Fraction, ...]] = []
     edges: set[tuple[int, int]] = set()
     for pos, agent in enumerate(agents):
-        budget = instance.budgets[agent]
-        row = tuple(
-            knapsack_vmax(instance, agent, b, budget).value for b in checked
-        )
+        instance.check_agent(agent)
+        row: list[Fraction] = []
         threshold = Fraction(0)
         for b in checked:
-            for g in b:
-                after_drop = knapsack_vmax(instance, agent, b - {g}, budget).value
-                if after_drop > threshold:
-                    threshold = after_drop
+            answers = _LeaveOneOut(instance, agent, b)
+            row.append(answers.fraction(answers.best))
+            after_drop = max((best for _, best in answers.without(False)), default=0)
+            threshold = max(threshold, answers.fraction(after_drop))
         for j, achievable in enumerate(row):
             if achievable >= threshold:
                 edges.add((pos, j))
-        values.append(row)
+        values.append(tuple(row))
     return FeasibilityGraph(tuple(agents), checked, frozenset(edges), tuple(values))
 
 

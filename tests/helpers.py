@@ -51,6 +51,9 @@ def literal_efx_envies(instance, own_value, agent, target) -> bool:
 
 
 def literal_ef1_holds(instance, allocation: Allocation) -> bool:
+    """Textbook EF1 over affordable subsets: every affordable nonempty S of
+    another agent's bundle has some good g with v(S - g) at most the own
+    value, that is, S without its most valued good."""
     for i in range(instance.num_agents):
         own = value_of(instance, i, allocation.bundles[i])
         for j in range(instance.num_agents):
@@ -60,6 +63,23 @@ def literal_ef1_holds(instance, allocation: Allocation) -> bool:
                 if not s or cost_of(instance, s) > instance.budgets[i]:
                     continue
                 if all(value_of(instance, i, s - {g}) > own for g in s):
+                    return False
+    return True
+
+
+def literal_drop_least_holds(instance, allocation: Allocation) -> bool:
+    """Every affordable nonempty S of another agent's bundle has v(S - g) at
+    most the own value for every good g of S, that is, S without its least
+    valued good. This is the envy-up-to-one-good test of ``is_ef1``."""
+    for i in range(instance.num_agents):
+        own = value_of(instance, i, allocation.bundles[i])
+        for j in range(instance.num_agents):
+            if i == j:
+                continue
+            for s in subsets(allocation.bundles[j]):
+                if cost_of(instance, s) > instance.budgets[i]:
+                    continue
+                if any(value_of(instance, i, s - {g}) > own for g in s):
                     return False
     return True
 

@@ -196,6 +196,30 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(t1_path), str(alloc))
         assert code == 1
 
+    @pytest.mark.parametrize("bundles", [[[True], [False, False]], [[0, 0], [2]]])
+    def test_boolean_or_repeated_good_ids_are_parse_errors(
+        self, t1_path, capsys, tmp_path, bundles
+    ):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"bundles": bundles}))
+        code, out, err = run(capsys, "verify", str(t1_path), str(alloc))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bundles[")
+
+    def test_boolean_instance_ids_are_parse_errors(self, t1_path, capsys, tmp_path):
+        doc = json.loads(t1_path.read_text())
+        doc["goods"][0]["id"] = False
+        doc["agents"][1]["id"] = True
+        instance = tmp_path / "inst.json"
+        instance.write_text(json.dumps(doc))
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"bundles": [[0], [1]]}))
+        code, out, err = run(capsys, "verify", str(instance), str(alloc))
+        assert code == 1
+        assert out == ""
+        assert err == "error: goods[0]: good id must be an integer, got False\n"
+
     def test_missing_allocation_file_is_a_parse_error(self, t1_path, capsys, tmp_path):
         missing = tmp_path / "no_such.json"
         code, out, err = run(capsys, "verify", str(t1_path), str(missing))

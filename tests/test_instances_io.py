@@ -75,6 +75,21 @@ class TestParsing:
         with pytest.raises(ParseError, match="dense"):
             parse_instance(gapped)
 
+    @pytest.mark.parametrize("bad_id", [False, True, 0.0, "0", None])
+    def test_non_integer_ids_rejected(self, bad_id):
+        good = {
+            "goods": [{"id": bad_id, "cost": 1}],
+            "agents": [{"id": 0, "budget": 1, "values": [1]}],
+        }
+        with pytest.raises(ParseError, match=r"goods\[0\]: good id must be an integer"):
+            parse_instance(good)
+        agent = {
+            "goods": [{"id": 0, "cost": 1}],
+            "agents": [{"id": bad_id, "budget": 1, "values": [1]}],
+        }
+        with pytest.raises(ParseError, match=r"agents\[0\]: agent id must be an integer"):
+            parse_instance(agent)
+
     def test_value_row_length_mismatch_rejected(self):
         doc = {
             "goods": [{"id": 0, "cost": 1}],
@@ -132,6 +147,17 @@ class TestAllocationDocuments:
     def test_overlap_rejected(self, t1):
         with pytest.raises(ParseError):
             parse_allocation({"bundles": [[0], [0]]}, t1)
+
+    @pytest.mark.parametrize(
+        "bundles", [[[True], []], [[0], [False]], [[True], [False, False]]]
+    )
+    def test_boolean_good_ids_rejected(self, t1, bundles):
+        with pytest.raises(ParseError, match="must be an array of good ids"):
+            parse_allocation({"bundles": bundles}, t1)
+
+    def test_a_good_listed_twice_in_one_bundle_rejected(self, t1):
+        with pytest.raises(ParseError, match=r"bundles\[1\] lists a good more than once"):
+            parse_allocation({"bundles": [[0], [2, 1, 2]]}, t1)
 
 
 class TestGeneration:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from budgeted_efx import model
 from budgeted_efx.model import (
     Allocation,
     DegenerateOptimumError,
@@ -10,9 +11,11 @@ from budgeted_efx.model import (
     bundle_cost,
     bundle_value,
     efx_envies,
+    efx_violation,
     envies,
     is_ef1,
     is_efx,
+    is_envy_free,
     knapsack_vmax,
     make_allocation,
     monopoly_value,
@@ -21,6 +24,7 @@ from budgeted_efx.model import (
     to_rational,
 )
 from budgeted_efx.oracles import knapsack_by_enumeration
+from budgeted_efx.two_agents import build_feasibility_graph
 
 from helpers import build, literal_efx_envies, random_instance
 
@@ -50,6 +54,14 @@ class TestBundleSums:
     def test_unknown_agent_rejected(self, t1):
         with pytest.raises(StructuralError):
             bundle_value(t1, 5, {0})
+
+    def test_boolean_ids_rejected(self, t1):
+        with pytest.raises(StructuralError, match="unknown good id True"):
+            bundle_cost(t1, {True})
+        with pytest.raises(StructuralError, match="unknown good id False"):
+            make_allocation(t1, [{False}, set()])
+        with pytest.raises(StructuralError, match="unknown agent id True"):
+            bundle_value(t1, True, {0})
 
 
 class TestKnapsack:
@@ -264,3 +276,101 @@ class TestStructure:
     def test_unallocated_pool_is_derived(self, t1):
         alloc = make_allocation(t1, [{0}, {2}])
         assert alloc.unallocated() == frozenset({1})
+
+
+def rational_assignment(rng: random.Random, n: int, m: int):
+    """Costs over mixed denominators, budgets over 11 (which no cost
+    denominator divides), values over 1, 2, 5 and 7, and each good given
+    to a random agent or left out, whatever the budgets."""
+    costs = [F(rng.randint(0, 30), rng.choice((1, 2, 3, 4, 6))) for _ in range(m)]
+    budgets = [F(11 * rng.randint(0, 4) + rng.randint(1, 10), 11) for _ in range(n)]
+    values = [
+        [F(rng.randint(0, 20), rng.choice((1, 2, 5, 7))) for _ in range(m)]
+        for _ in range(n)
+    ]
+    inst = build(costs, budgets, values)
+    codes = [rng.randint(0, n) for _ in range(m)]
+    bundles = tuple(frozenset(g for g in range(m) if codes[g] == i) for i in range(n))
+    return inst, Allocation(bundles, inst.all_goods())
+
+
+def integer_assignment(rng: random.Random, n: int, m: int):
+    """Small integer costs and budgets, so that subsets often cost exactly a
+    budget, and each good given to a random agent or left out."""
+    inst = random_instance(rng, n, m, cost_hi=6, budget_hi=12)
+    codes = [rng.randint(0, n) for _ in range(m)]
+    bundles = tuple(frozenset(g for g in range(m) if codes[g] == i) for i in range(n))
+    return inst, Allocation(bundles, inst.all_goods())
+
+
+def tight_pool(rng: random.Random):
+    """Agent 0 holds 16 goods costing 50 to 60 (in halves); agent 1 holds one
+    good and affords about half of agent 0's bundle. Over the goods h of the
+    big bundle, agent 1's best affordable value from it without h takes
+    several values; she values her own good at the second largest, so only
+    some drops violate EFx."""
+    m = 17
+    costs = [F(rng.randint(100, 120), 2) for _ in range(m)]
+    big = range(16)
+    total = sum(costs[g] for g in big)
+    budgets = [total, total / 2 + F(1, 3)]
+    values = [
+        [F(rng.randint(1, 10)) for _ in range(m)],
+        [F(rng.randint(1, 30), rng.choice((1, 3))) for _ in range(m)],
+    ]
+    inst = build(costs, budgets, values)
+    drops = sorted(
+        {knapsack_vmax(inst, 1, set(big) - {g}, budgets[1]).value for g in big}
+    )
+    values[1][16] = drops[-2]
+    inst = build(costs, budgets, values)
+    return inst, make_allocation(inst, [big, {16}])
+
+
+def certificates(inst, allocation):
+    agents = range(inst.num_agents)
+    return (
+        efx_violation(inst, allocation),
+        is_ef1(inst, allocation),
+        is_envy_free(inst, allocation),
+        build_feasibility_graph(inst, agents, allocation.bundles),
+    )
+
+
+class TestLeaveOneOutEngine:
+    """The frontier engine and the per-drop knapsack searches it falls back
+    to on large pools must give identical certificates."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(53)
+        cases = [
+            draw(rng, rng.choice((2, 3)), rng.randint(1, 8))
+            for draw in (rational_assignment, integer_assignment)
+            for _ in range(60)
+        ]
+        return cases + [tight_pool(random.Random(seed)) for seed in (1, 2)]
+
+    def test_frontiers_match_per_drop_searches(self, monkeypatch):
+        cases = self.cases()
+        from_frontiers = [certificates(*case) for case in cases]
+        monkeypatch.setattr(model, "_FRONTIER_ENTRIES", 0)
+        assert [certificates(*case) for case in cases] == from_frontiers
+
+    def test_the_cases_reach_every_branch(self):
+        cases = self.cases()
+        unaffordable = 0
+        for inst, allocation in cases:
+            for i in range(inst.num_agents):
+                for j in range(inst.num_agents):
+                    target = allocation.bundles[j]
+                    if i != j and bundle_cost(inst, target) > inst.budgets[i]:
+                        unaffordable += 1
+        assert unaffordable >= 100
+        verdicts = [certificates(*case)[:3] for case in cases]
+        assert {violation is None for violation, _, _ in verdicts} == {True, False}
+        assert {ef1 for _, ef1, _ in verdicts} == {True, False}
+        assert {ef for _, _, ef in verdicts} == {True, False}
+        for inst, allocation in cases[-2:]:
+            violation = efx_violation(inst, allocation)
+            assert (violation.agent, violation.against) == (1, 0)

@@ -6,9 +6,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from budgeted_efx.model import (
+    Allocation,
     bundle_value,
     efx_envies,
     efx_violation,
+    envies,
     is_ef1,
     is_efx,
     knapsack_vmax,
@@ -24,6 +26,8 @@ from budgeted_efx.two_agents import build_feasibility_graph, efx_2a, select_perf
 from helpers import (
     build,
     cost_of,
+    literal_drop_least_holds,
+    literal_ef1_holds,
     literal_efx_envies,
     random_feasible_allocation,
     value_of,
@@ -51,6 +55,19 @@ def instance_with_pool(draw):
         g for g in range(inst.num_goods) if draw(st.booleans())
     )
     return inst, pool
+
+
+@st.composite
+def instance_with_allocation(draw):
+    """Any assignment of the goods, budget-feasible or not; code n leaves a
+    good unallocated."""
+    inst = draw(instances(n_agents=st.integers(2, 3), n_goods=st.integers(0, 7)))
+    n = inst.num_agents
+    codes = [draw(st.integers(0, n)) for _ in range(inst.num_goods)]
+    bundles = tuple(
+        frozenset(g for g, code in enumerate(codes) if code == i) for i in range(n)
+    )
+    return inst, Allocation(bundles, inst.all_goods())
 
 
 @settings(deadline=None)
@@ -94,6 +111,27 @@ def test_efx_implies_ef1(inst, seed):
     allocation = random_feasible_allocation(random.Random(seed), inst)
     if is_efx(inst, allocation):
         assert is_ef1(inst, allocation)
+
+
+@settings(deadline=None, max_examples=200)
+@given(instance_with_allocation())
+def test_ef1_matches_its_literal_form(data):
+    inst, allocation = data
+    holds = is_ef1(inst, allocation)
+    assert holds == literal_drop_least_holds(inst, allocation)
+    if holds:
+        assert literal_ef1_holds(inst, allocation)
+
+
+@settings(deadline=None, max_examples=200)
+@given(instance_with_allocation(), st.integers(0, 2), st.integers(0, 2))
+def test_envy_matches_subset_enumeration(data, agent_pick, target_pick):
+    inst, allocation = data
+    agent = agent_pick % inst.num_agents
+    target = allocation.bundles[target_pick % inst.num_agents]
+    best, _ = knapsack_by_enumeration(inst, agent, target, inst.budgets[agent])
+    own = bundle_value(inst, agent, allocation.bundles[agent])
+    assert envies(inst, allocation, agent, target) == (best > own)
 
 
 @settings(deadline=None)

@@ -136,6 +136,11 @@ class TestFeasibilityGraph:
         with pytest.raises(StructuralError):
             build_feasibility_graph(t1, (0, 1), ({0, 1}, {1}))
 
+    @pytest.mark.parametrize("agent", [-1, 2, True])
+    def test_unknown_agent_rejected(self, t1, agent):
+        with pytest.raises(StructuralError, match="unknown agent id"):
+            build_feasibility_graph(t1, (0, agent), ({2}, {0}))
+
 
 class TestSelectPerfectMatching:
     def test_forced_single_option(self, t1):
