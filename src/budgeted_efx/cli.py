@@ -403,6 +403,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     suite = BENCH_SUITES[args.suite]
     seed = args.seed if args.seed is not None else suite.seed
     count = args.count if args.count is not None else suite.count
+    if count < 1:
+        # An empty suite would print a TOTAL row that passes nothing.
+        raise ParseError(f"--count must be at least 1, got {count}")
     search = _search_budget(args.cap)
     instances = gen_instances(
         seed, count, suite.agents, suite.goods, (0, 20), (0, 20), 10

@@ -98,11 +98,14 @@ def max_nsw_allocation(
     maximizing the product of their values.
 
     Branch-and-bound over per-good assignments: each good goes to one of the
-    listed agents or stays unallocated. An additive per-agent upper bound
-    prunes subtrees that cannot beat the incumbent. Goods are decided in
-    ascending id order and assignment codes are tried agents-first (ascending
-    id) then "unallocated", so the first optimum found -- and hence the one
-    returned -- has the lexicographically smallest assignment vector.
+    listed agents or stays unallocated. Two upper bounds prune subtrees that
+    cannot beat the incumbent: the product of each agent's value so far plus
+    its value of every remaining good, and an exclusivity bound (AM-GM over
+    weighted values, each remaining good to its one best-weighted owner).
+    Goods are decided in ascending id order and assignment codes are tried
+    agents-first (ascending id) then "unallocated", so the first optimum
+    found -- and hence the one returned -- has the lexicographically
+    smallest assignment vector.
     """
     found = _welfare_walk(instance, agents, pool, budget)
     assert found is not None
@@ -121,9 +124,11 @@ def _welfare_walk(
     budget-feasible allocations that ``accept`` admits (all when None).
 
     ``accept`` runs only at leaves whose product strictly beats the
-    incumbent, and a subtree is pruned only when its product bound does not.
-    The bound caps every leaf below the node whatever ``accept`` says, so no
-    pruned leaf could have replaced the incumbent.
+    incumbent, and a subtree is pruned only when one of its two bounds does
+    not: the product of each agent's value so far plus its value of every
+    remaining good, and the exclusivity bound, which gives each remaining
+    good to one owner. Each bound caps every leaf below the node whatever
+    ``accept`` says, so no pruned leaf could have replaced the incumbent.
 
     The search runs on integers. Costs and budgets are scaled by the LCM of
     their denominators, so every feasibility test is unchanged. Agent a's
@@ -159,6 +164,20 @@ def _welfare_walk(
         for idx in range(n - 1, -1, -1):
             row[idx] = row[idx + 1] + vals[ai][idx]
 
+    # The exclusivity bound: for weights w_a > 0, AM-GM gives
+    # prod y_a <= (sum w_a y_a)^k / (k^k prod w_a), and each remaining good
+    # has one owner, so sum w_a y_a <= sum w_a acc_a + owned[idx]. The
+    # weights w_a = prod_{b != a} Y_b, with Y_b agent b's value of the pool
+    # (at least 1), make w_a Y_a the same for every agent, so no agent's
+    # value scale dominates the sum.
+    totals = [max(row[0], 1) for row in suffix]
+    weights = [math.prod(totals[:ai] + totals[ai + 1 :]) for ai in range(k)]
+    weighted = [[w * v for v in row] for w, row in zip(weights, vals)]
+    owned = [0] * (n + 1)
+    for idx in range(n - 1, -1, -1):
+        owned[idx] = owned[idx + 1] + max(row[idx] for row in weighted)
+    spread = k**k * math.prod(weights)
+
     def to_allocation(codes: Sequence[int]) -> Allocation:
         bundles: list[set[int]] = [set() for _ in range(instance.num_agents)]
         for g, code in zip(goods, codes):
@@ -172,9 +191,11 @@ def _welfare_walk(
     assign = [k] * n
     best_product: int | None = None
     best_assign: tuple[int, ...] | None = None
+    # best_product * spread once there is an incumbent.
+    exclusive_cap = 0
 
-    def walk(idx: int) -> None:
-        nonlocal best_product, best_assign
+    def walk(idx: int, weighted_acc: int) -> None:
+        nonlocal best_product, best_assign, exclusive_cap
         if idx == n:
             counter.tick()
             product = math.prod(acc)
@@ -184,12 +205,16 @@ def _welfare_walk(
                 return
             best_product = product
             best_assign = tuple(assign)
+            exclusive_cap = product * spread
             return
         if best_product is not None:
+            # The product bound is cheaper, so it goes first.
             bound = 1
             for ai in range(k):
                 bound *= acc[ai] + suffix[ai][idx]
             if bound <= best_product:
+                return
+            if (weighted_acc + owned[idx]) ** k <= exclusive_cap:
                 return
         cost = costs[idx]
         for code in range(k):
@@ -200,12 +225,12 @@ def _welfare_walk(
             old_spent, old_acc = spent[code], acc[code]
             spent[code] = with_g
             acc[code] = old_acc + vals[code][idx]
-            walk(idx + 1)
+            walk(idx + 1, weighted_acc + weighted[code][idx])
             spent[code], acc[code] = old_spent, old_acc
         assign[idx] = k
-        walk(idx + 1)
+        walk(idx + 1, weighted_acc)
 
-    walk(0)
+    walk(0, 0)
     if best_assign is None:
         return None
     return to_allocation(best_assign), Fraction(best_product, value_scale)
@@ -222,7 +247,19 @@ def complete_efx_allocation(
 
     Requires the whole pool to fit within every agent's budget, which makes
     budget feasibility automatic for every sub-bundle and reduces the EFx
-    test to plain additive comparisons.
+    test to plain additive comparisons: agent i does not EFx-envy a nonempty
+    P_j when v_i(P_j) - min_i(P_j) <= v_i(P_i).
+
+    A depth-first search decides the goods in ascending id order and tries
+    the agents in ascending id order, so it meets the complete assignments
+    in lexicographic order. It runs on integers (each agent's values scaled
+    by their own LCM, which keeps that agent's comparisons) and keeps
+    v_i(P_j) and min_i(P_j) for all nine pairs as goods are placed. A node
+    is pruned when some v_i(P_j) - min_i(P_j) exceeds v_i(P_i) plus agent
+    i's value of the goods not yet placed. The left side never shrinks as
+    P_j grows and the right side bounds v_i(P_i) in every completion, so
+    every leaf below is not EFx: the first EFx assignment is the one the
+    unpruned enumeration would return. The cap counts the leaves reached.
     """
     agents = tuple(sorted(set(agents)))
     if len(agents) != 3:
@@ -237,38 +274,62 @@ def complete_efx_allocation(
         )
 
     goods = sorted(pool)
-    rows = [instance.values[a] for a in agents]
+    n = len(goods)
+    vals = [
+        _over_common_denominator([instance.values[a][g] for g in goods])[0]
+        for a in agents
+    ]
+    rest = [[0] * (n + 1) for _ in range(3)]
+    for ai in range(3):
+        for idx in range(n - 1, -1, -1):
+            rest[ai][idx] = rest[ai][idx + 1] + vals[ai][idx]
+    # Cell 3 * i + j holds v_i(P_j) and min_i(P_j). An empty part's minimum
+    # exceeds every sum of agent i's values, so it never shows envy.
+    total = [0] * 9
+    least = [rest[ai][0] + 1 for ai in range(3) for _ in range(3)]
+    pairs = [
+        (ai, 4 * ai, 3 * ai + aj) for ai in range(3) for aj in range(3) if aj != ai
+    ]
+    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
     counter = _Counter(budget.max_assignments)
 
-    for codes in itertools.product((0, 1, 2), repeat=len(goods)):
-        counter.tick()
-        parts: tuple[list[int], list[int], list[int]] = ([], [], [])
-        for g, code in zip(goods, codes):
+    def walk(idx: int) -> bool:
+        if idx == n:
+            counter.tick()
+        for ai, own, cell in pairs:
+            if total[cell] - least[cell] > total[own] + rest[ai][idx]:
+                return False
+        if idx == n:
+            return True
+        g = goods[idx]
+        for code in range(3):
+            saved = least[code], least[3 + code], least[6 + code]
+            for ai in range(3):
+                v = vals[ai][idx]
+                cell = 3 * ai + code
+                total[cell] += v
+                if v < least[cell]:
+                    least[cell] = v
             parts[code].append(g)
-        own = [sum((rows[ai][g] for g in parts[ai]), ZERO) for ai in range(3)]
-        ok = True
-        for ai in range(3):
-            for aj in range(3):
-                if ai == aj or not parts[aj]:
-                    continue
-                row = rows[ai]
-                total = sum((row[g] for g in parts[aj]), ZERO)
-                cheapest = min(row[g] for g in parts[aj])
-                if total - cheapest > own[ai]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            bundles: list[Bundle] = [frozenset()] * instance.num_agents
-            for ai, a in enumerate(agents):
-                bundles[a] = frozenset(parts[ai])
-            allocation = Allocation(tuple(bundles), pool)
-            if not is_efx(instance, allocation):
-                raise InvariantViolationError(
-                    "fast EFx test disagrees with the general predicate"
-                )
-            return allocation
+            if walk(idx + 1):
+                return True
+            parts[code].pop()
+            for ai in range(3):
+                cell = 3 * ai + code
+                total[cell] -= vals[ai][idx]
+                least[cell] = saved[ai]
+        return False
+
+    if walk(0):
+        bundles: list[Bundle] = [frozenset()] * instance.num_agents
+        for ai, a in enumerate(agents):
+            bundles[a] = frozenset(parts[ai])
+        allocation = Allocation(tuple(bundles), pool)
+        if not is_efx(instance, allocation):
+            raise InvariantViolationError(
+                "fast EFx test disagrees with the general predicate"
+            )
+        return allocation
 
     raise ExistenceViolationError(
         "no complete EFx allocation found despite the affordability "

@@ -143,3 +143,31 @@ def literal_best_under_predicate(instance: Instance, predicate):
         if best is None or product > best[1]:
             best = (allocation, product)
     return best
+
+
+def literal_first_complete_efx(instance: Instance, agents, pool):
+    """The first assignment of every good of ``pool`` to one of ``agents``
+    under which no listed agent EFx-envies another's part, as the tuple of
+    all agents' bundles; None if there is none.
+
+    Plain enumeration of assignment codes (positions in sorted ``agents``),
+    goods in id order, so the first hit is the lexicographically smallest.
+    """
+    agents = sorted(agents)
+    goods = sorted(pool)
+    for codes in itertools.product(range(len(agents)), repeat=len(goods)):
+        parts = [
+            frozenset(g for g, code in zip(goods, codes) if code == pos)
+            for pos in range(len(agents))
+        ]
+        if not any(
+            literal_efx_envies(instance, value_of(instance, a, parts[i]), a, parts[j])
+            for i, a in enumerate(agents)
+            for j in range(len(agents))
+            if j != i
+        ):
+            bundles = [frozenset()] * instance.num_agents
+            for a, part in zip(agents, parts):
+                bundles[a] = part
+            return tuple(bundles)
+    return None

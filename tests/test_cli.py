@@ -314,6 +314,15 @@ class TestBench:
         assert all(r["ratio_pass"] == "True" for r in rows[:-1])
 
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_count_below_one_is_a_usage_error(self, capsys, tmp_path, count):
+        out_csv = tmp_path / "rows.csv"
+        argv = ["bench", "--suite", "oracles", "--count", count, "--out", str(out_csv)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "--count" in err
+        assert out == "" and not out_csv.exists()
+
     def test_guarantee_violation_exits_2_and_dumps_a_repro(
         self, capsys, tmp_path, monkeypatch
     ):

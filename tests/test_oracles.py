@@ -6,6 +6,7 @@ import pytest
 from budgeted_efx.instances import gen_instances
 from budgeted_efx.model import (
     DegenerateOptimumError,
+    Instance,
     StructuralError,
     bundle_value,
     is_ef1,
@@ -26,7 +27,12 @@ from budgeted_efx.oracles import (
     max_nsw_by_enumeration,
 )
 
-from helpers import build, literal_best_under_predicate, random_instance
+from helpers import (
+    build,
+    literal_best_under_predicate,
+    literal_first_complete_efx,
+    random_instance,
+)
 
 F = Fraction
 
@@ -141,29 +147,92 @@ class TestRationalWelfareWalk:
                 assert type(found[1]) is Fraction
 
 
-# Leaves each search ticks, frozen from the Fraction-based walk, as
-# (gen_instances seed and goods for three agents, or None for t1,
-# max_nsw_allocation leaves, best_allocation_under_predicate(is_efx) leaves).
-# The three drawn instances have bounds equal to the incumbent, so pruning
-# on ``bound < best`` instead of ``bound <= best`` changes every count.
+def zero_valued_agent(rng: random.Random):
+    """Three agents, and one of them values every good of the pool at 0."""
+    inst = random_instance(rng, 3, rng.randint(1, 6))
+    pool = {g for g in range(inst.num_goods) if rng.random() < 0.8}
+    zero = rng.randrange(3)
+    values = [list(row) for row in inst.values]
+    for g in pool:
+        values[zero][g] = F(0)
+    return build(inst.costs, inst.budgets, values), range(3), pool
+
+
+def single_agent(rng: random.Random):
+    inst = rational_instance(rng, 1, rng.randint(1, 7))
+    return inst, (0,), inst.all_goods()
+
+
+def pair_over_partial_pool(rng: random.Random):
+    """Agents 1 and 2 over part of the goods, as else_procedure asks."""
+    inst = rational_instance(rng, 3, rng.randint(1, 6))
+    pool = {g for g in range(inst.num_goods) if rng.random() < 0.7}
+    return inst, (1, 2), pool
+
+
+EDGE_DRAWS = [zero_valued_agent, single_agent, pair_over_partial_pool]
+EDGE_IDS = ["zero-valued-agent", "single-agent", "pair-partial-pool"]
+
+
+class TestExclusivityBoundEdges:
+    """Inputs where the exclusivity bound's weights degenerate: an agent
+    whose pool value is 0 (its Y is clamped to 1), one agent (the bound is
+    the product bound), and two of three agents over part of the goods."""
+
+    @pytest.mark.parametrize("draw", EDGE_DRAWS, ids=EDGE_IDS)
+    def test_max_nsw_matches_enumeration(self, draw):
+        rng = random.Random(53)
+        for _ in range(25):
+            inst, agents, pool = draw(rng)
+            fast = max_nsw_allocation(inst, agents, pool)
+            slow, slow_product = max_nsw_by_enumeration(inst, agents, pool)
+            assert fast.bundles == slow.bundles
+            assert agents_product(inst, fast, agents) == slow_product
+
+    @pytest.mark.parametrize("draw", EDGE_DRAWS, ids=EDGE_IDS)
+    def test_efx_walk_matches_literal_enumeration(self, draw):
+        rng = random.Random(53)
+        for _ in range(25):
+            inst, _, _ = draw(rng)
+            found = best_allocation_under_predicate(inst, is_efx)
+            expected = literal_best_under_predicate(inst, is_efx)
+            assert found is not None and expected is not None
+            assert found[0].bundles == expected[0].bundles
+            assert found[1] == expected[1]
+
+
+# Leaves each search ticks, as (gen_instances seed and goods for three
+# agents, None for t1, or a built instance; max_nsw_allocation leaves,
+# best_allocation_under_predicate(is_efx) leaves). Each count is the
+# number of ticks of the current walk: a cap of that many succeeds and one
+# less raises. Pruning on ``bound < best`` instead of ``bound <= best``
+# changes the counts of 3x6 and 3x5 (the product bound, where a node's bound
+# equals the incumbent) and of the equal-values instance (the exclusivity
+# bound, which AM-GM makes tight when every agent values every good alike);
+# each mutant changes both tests' counts on one of these instances.
+EQUAL_VALUES = build([1] * 6, [3] * 3, [[1] * 6] * 3)
 SEARCH_SPEND = [
     (None, 4, 4),
-    ((17, 6), 102, 157),
-    ((16, 7), 824, 1024),
-    ((17, 8), 124, 368),
+    ((17, 6), 63, 103),
+    ((16, 7), 68, 316),
+    ((17, 8), 64, 308),
+    ((1, 5), 32, 212),
+    (EQUAL_VALUES, 28, 46),
 ]
-SPEND_IDS = ["t1", "3x6", "3x7", "3x8"]
+SPEND_IDS = ["t1", "3x6", "3x7", "3x8", "3x5", "equal-values"]
 
 
 def spend_instance(drawn, t1):
     if drawn is None:
         return t1
+    if isinstance(drawn, Instance):
+        return drawn
     seed, m = drawn
     return gen_instances(seed, 1, 3, (m, m))[0]
 
 
 class TestSearchSpend:
-    """The cap counts exactly the leaves it counted before: a budget of L
+    """The cap counts exactly the leaves the walk reaches: a budget of L
     leaves suffices and L - 1 does not. This pins pruning and the place of
     the tick, which a small-cap test alone does not."""
 
@@ -212,6 +281,53 @@ class TestCompleteEfxAllocation:
             out = complete_efx_allocation(inst, (0, 1, 2), inst.all_goods())
             assert out.unallocated() == frozenset()
             assert is_efx(inst, out)
+
+    def test_first_efx_assignment_in_order(self):
+        """The same bundles as a literal enumeration's first EFx assignment,
+        on draws with fractional values, ties and zeros."""
+        rng = random.Random(47)
+        drawn = []
+        for _ in range(60):
+            m = rng.randint(0, 7)
+            costs = [F(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(m)]
+            budget = sum(costs, F(0)) + F(rng.randint(0, 4), 2)
+            values = [
+                [F(rng.randint(0, 4), rng.choice((1, 2, 3))) for _ in range(m)]
+                for _ in range(3)
+            ]
+            inst = build(costs, [budget, budget + 1, budget + 2], values)
+            pool = {g for g in range(m) if rng.random() < 0.85}
+            out = complete_efx_allocation(inst, (0, 1, 2), pool)
+            assert out.bundles == literal_first_complete_efx(inst, (0, 1, 2), pool)
+            drawn.append(inst)
+        values = [v for inst in drawn for row in inst.values for v in row]
+        assert any(v.denominator > 1 for v in values)
+        assert 0 in values
+        assert any(len(set(row)) < len(row) for inst in drawn for row in inst.values)
+
+    # The unpruned enumeration reaches the first EFx assignment of these
+    # two at its 45th and 117th leaf; the pruned search reaches 3 and 6.
+    @pytest.mark.parametrize(
+        "inst, leaves",
+        [
+            (build([1] * 5, [5] * 3, [[4, 1, 1, 1, 0], [4, 1, 1, 1, 0], [1] * 5]), 3),
+            (
+                build(
+                    [F(1, 2)] * 6,
+                    [3] * 3,
+                    [[F(1, 2), 1, 2, 3, 0, 1], [3, 2, 1, F(1, 2), 1, 0], [1] * 6],
+                ),
+                6,
+            ),
+        ],
+        ids=["5-goods", "6-goods"],
+    )
+    def test_pruned_search_spends_exactly(self, inst, leaves):
+        agents, pool = (0, 1, 2), inst.all_goods()
+        out = complete_efx_allocation(inst, agents, pool, SearchBudget(leaves))
+        assert out.bundles == literal_first_complete_efx(inst, agents, pool)
+        with pytest.raises(SearchCapExceededError):
+            complete_efx_allocation(inst, agents, pool, SearchBudget(leaves - 1))
 
     def test_unaffordable_pool_rejected(self):
         inst = build([5, 5], [4, 9, 9], [[1, 1]] * 3)
