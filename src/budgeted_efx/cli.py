@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 import time
@@ -24,6 +23,7 @@ from typing import Callable
 
 from .instances import (
     ParseError,
+    _canonical_json,
     allocation_to_payload,
     gen_instances,
     instance_sha256,
@@ -130,7 +130,7 @@ def _emit(text: str, out: str | Path | None) -> None:
 
 
 def _write_report(report: dict, out: str | None) -> None:
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+    _emit(_canonical_json(report), out)
 
 
 def _ratio_check(name: str, lhs: Fraction, rhs: Fraction) -> dict:
@@ -283,29 +283,33 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK if all(_certificate(report)) else EXIT_GUARANTEE
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    instance = parse_instance(args.instance)
-    allocation = parse_allocation(args.allocation, instance)
-    search = _search_budget(args.cap)
-
+def _verify_report(
+    instance: Instance, allocation: Allocation, search: SearchBudget
+) -> dict:
     try:
         pareto: bool | None = is_pareto_efficient(instance, allocation, search)
     except SearchCapExceededError:
         pareto = None
 
-    violation = efx_violation(instance, allocation)
-    report = {
+    return {
         "input_hash": instance_sha256(instance),
         "allocation": allocation_to_payload(allocation),
         "budget_feasible": _budget_certificate(instance, allocation),
         "envy_free": is_envy_free(instance, allocation),
         "ef1": is_ef1(instance, allocation),
-        "efx": _efx_block(violation),
+        "efx": _efx_block(efx_violation(instance, allocation)),
         "pareto_efficient": pareto,
         "nsw_product": rational_to_json(nsw_product(instance, allocation)),
     }
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    instance = parse_instance(args.instance)
+    allocation = parse_allocation(args.allocation, instance)
+    report = _verify_report(instance, allocation, _search_budget(args.cap))
     _write_report(report, args.out)
-    return EXIT_OK if report["budget_feasible"] and violation is None else EXIT_VERIFY
+    verified = report["budget_feasible"] and report["efx"]["pass"]
+    return EXIT_OK if verified else EXIT_VERIFY
 
 
 def _measure_solve(algorithm: str, instance: Instance, search: SearchBudget) -> dict:

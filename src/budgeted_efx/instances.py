@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -45,17 +46,31 @@ class GenerationError(FairDivisionError):
     """Random generation could not satisfy the solvability requirements."""
 
 
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def rational_from_json(x: Any, where: str = "") -> Fraction:
+    """An instance number: a JSON integer, or a string ``p`` or ``p/q`` of
+    ASCII digits with an optional leading ``-``. A negative number parses,
+    so that the instance rejects it with its own message."""
     prefix = f"{where}: " if where else ""
     if isinstance(x, bool) or isinstance(x, float):
         raise ParseError(f"{prefix}expected an integer or 'p/q' string, got {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{prefix}malformed rational {x!r}") from exc
+        p, slash, q = x.removeprefix("-").partition("/")
+        if _ascii_digits(p) and (not slash or _ascii_digits(q)):
+            try:
+                value = Fraction(int(p), int(q)) if slash else Fraction(int(p))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"{prefix}malformed rational {x!r}") from exc
+            return -value if x.startswith("-") else value
+        raise ParseError(
+            f"{prefix}malformed rational {x!r}: expected ASCII digits 'p' or "
+            "'p/q', optionally after a '-'"
+        )
     raise ParseError(f"{prefix}expected an integer or 'p/q' string, got {x!r}")
 
 
@@ -158,8 +173,83 @@ def serialize_instance(instance: Instance) -> dict:
     }
 
 
+def _number_text(x: Fraction) -> str:
+    # rational_to_json(x) as JSON text.
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f'"{x.numerator}/{x.denominator}"'
+
+
+def _array_text(items: list[str], indent: str) -> str:
+    # A JSON array of already written items, as json.dumps(indent=2) lays it
+    # out when its opening bracket sits on a line indented by ``indent``.
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def instance_to_json(instance: Instance) -> str:
-    return json.dumps(serialize_instance(instance), sort_keys=True, indent=2) + "\n"
+    """The canonical text of an instance document: byte for byte
+    ``json.dumps(serialize_instance(instance), indent=2, sort_keys=True)``
+    plus a newline, the text ``instance_sha256`` hashes.
+
+    The document's shape is fixed, so it is written directly: integers as
+    digits, other numbers as "p/q" strings in lowest terms, keys in sorted
+    order, and ``[]`` for an empty array. ``json.dumps`` with an indent
+    would run the pure-Python encoder instead of the C one.
+    """
+    agents = [
+        '{\n      "budget": %s,\n      "id": %d,\n      "values": %s\n    }'
+        % (_number_text(b), i, _array_text([_number_text(v) for v in row], "      "))
+        for i, (b, row) in enumerate(zip(instance.budgets, instance.values))
+    ]
+    goods = [
+        '{\n      "cost": %s,\n      "id": %d\n    }' % (_number_text(c), g)
+        for g, c in enumerate(instance.costs)
+    ]
+    return '{\n  "agents": %s,\n  "goods": %s\n}\n' % (
+        _array_text(agents, "  "),
+        _array_text(goods, "  "),
+    )
+
+
+def _canonical_text(obj: Any, indent: str) -> str:
+    # ``indent`` is that of the line on which ``obj`` starts.
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        return _array_text([_canonical_text(item, inner) for item in obj], indent)
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a string")
+        if not obj:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _canonical_text(obj[key], inner)
+            for key in sorted(obj)
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    raise TypeError(f"{type(obj).__name__} {obj!r} has no canonical JSON form")
+
+
+def _canonical_json(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, for
+    documents built from dicts with string keys, lists, tuples, strings,
+    ints, booleans and None; any other type raises TypeError, so a document
+    never differs from that text silently. Written here because
+    ``json.dumps`` with an indent runs the pure-Python encoder."""
+    return _canonical_text(obj, "") + "\n"
 
 
 def instance_sha256(instance: Instance) -> str:

@@ -1,13 +1,15 @@
 """Exact domain model for budget-constrained fair division.
 
 Instances, bundles, allocations, and the budget-aware fairness and
-efficiency predicates. All arithmetic is exact: numbers are
-:class:`fractions.Fraction` everywhere except inside two kernels that run on
-integers scaled over common denominators, the welfare branch and bound
-(``oracles._welfare_walk``) and the leave-one-out knapsack engine
-(``_LeaveOneOut``) behind the envy, EFx and EF1 predicates and the
-feasibility graph. Floating point is rejected at the boundary because every
-predicate in this package compares exact sums.
+efficiency predicates. All arithmetic is exact. Numbers enter as
+:class:`fractions.Fraction`, and each :class:`Instance` converts its own
+numbers once, when it is built, into an integer form: costs and budgets over
+one common denominator, and each agent's values over that agent's own. The
+bundle sums, the leave-one-out knapsack engine (``_LeaveOneOut``) behind the
+envy, EFx and EF1 predicates and the feasibility graph, and the searches in
+``oracles`` read that form; results leave as Fractions. Floating point is
+rejected at the boundary because every predicate in this package compares
+exact sums.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ class InvariantViolationError(FairDivisionError):
     """A guaranteed property failed at runtime; indicates a bug, not bad input."""
 
 
+def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """``xs`` times the LCM of their denominators, as ints, and that LCM."""
+    lcm = math.lcm(*[x.denominator for x in xs])
+    if lcm == 1:
+        return tuple([x.numerator for x in xs]), 1
+    return tuple([x.numerator * (lcm // x.denominator) for x in xs]), lcm
+
+
 def to_rational(x: RationalLike) -> Fraction:
     """Convert to an exact rational, rejecting floats outright."""
     if type(x) is Fraction:
@@ -91,6 +101,14 @@ class Instance:
 
     ``values[i][g]`` is agent ``i``'s value for good ``g``. Good and agent
     ids are dense 0-based indices into these tuples.
+
+    The instance also keeps its integer form, built from these fields alone
+    in ``__post_init__``: ``_int_costs`` and ``_int_budgets`` are the costs
+    and budgets times ``_cost_scale``, the LCM of their denominators, and
+    ``_int_values[i]`` is agent ``i``'s values times ``_value_scales[i]``,
+    the LCM of that agent's denominators. Each scale is a positive constant,
+    so every comparison of costs with budgets, and of one agent's values
+    with each other, reads the same on the integers.
     """
 
     costs: tuple[Fraction, ...]
@@ -114,12 +132,23 @@ class Instance:
                 raise StructuralError(
                     f"agent {i} has {len(row)} values but there are {len(self.costs)} goods"
                 )
-        if any(c.numerator < 0 for c in self.costs):
+        amounts, cost_scale = _over_common_denominator(self.costs + self.budgets)
+        rows = [_over_common_denominator(row) for row in self.values]
+        m = len(self.costs)
+        int_costs, int_budgets = amounts[:m], amounts[m:]
+        int_values = tuple(row for row, _ in rows)
+        # The scales are positive, so the integers keep every sign.
+        if any(c < 0 for c in int_costs):
             raise StructuralError("costs must be nonnegative")
-        if any(b.numerator < 0 for b in self.budgets):
+        if any(b < 0 for b in int_budgets):
             raise StructuralError("budgets must be nonnegative")
-        if any(v.numerator < 0 for row in self.values for v in row):
+        if any(v < 0 for row in int_values for v in row):
             raise StructuralError("values must be nonnegative")
+        object.__setattr__(self, "_int_costs", int_costs)
+        object.__setattr__(self, "_int_budgets", int_budgets)
+        object.__setattr__(self, "_cost_scale", cost_scale)
+        object.__setattr__(self, "_int_values", int_values)
+        object.__setattr__(self, "_value_scales", tuple(scale for _, scale in rows))
 
     @property
     def num_goods(self) -> int:
@@ -142,8 +171,9 @@ class Instance:
 
     def check_bundle(self, bundle: Iterable[int]) -> Bundle:
         bundle = frozenset(bundle)
+        m = len(self.costs)
         for g in bundle:
-            if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < self.num_goods:
+            if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < m:
                 raise StructuralError(f"unknown good id {g!r}")
         return bundle
 
@@ -218,15 +248,16 @@ class KnapsackAnswer:
 
 
 def bundle_cost(instance: Instance, bundle: Iterable[int]) -> Fraction:
-    bundle = instance.check_bundle(bundle)
-    return sum((instance.costs[g] for g in bundle), ZERO)
+    costs = instance._int_costs
+    total = sum([costs[g] for g in instance.check_bundle(bundle)])
+    return Fraction(total, instance._cost_scale)
 
 
 def bundle_value(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     instance.check_agent(agent)
-    bundle = instance.check_bundle(bundle)
-    row = instance.values[agent]
-    return sum((row[g] for g in bundle), ZERO)
+    row = instance._int_values[agent]
+    total = sum([row[g] for g in instance.check_bundle(bundle)])
+    return Fraction(total, instance._value_scales[agent])
 
 
 def knapsack_vmax(
@@ -296,15 +327,10 @@ def monopoly_value(instance: Instance, agent: int, budget: RationalLike) -> Frac
     return knapsack_vmax(instance, agent, instance.all_goods(), budget).value
 
 
-def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``xs`` times the LCM of their denominators, as ints, and that LCM."""
-    lcm = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (lcm // x.denominator) for x in xs], lcm
-
-
 # The engine keeps |T| + 1 suffix frontiers of at most min(2^|T|, B + 1)
-# entries each (B the scaled budget). Past this many entries in the worst
-# case it calls knapsack_vmax once per removed good instead.
+# entries each (B the budget in the instance's integer costs). Past this
+# many entries in the worst case it calls knapsack_vmax once per removed
+# good instead.
 _FRONTIER_ENTRIES = 1 << 16
 
 
@@ -347,60 +373,66 @@ class _LeaveOneOut:
     affordable subset of T, and for each good h of T the best value of an
     affordable subset of T - h.
 
-    Answers come in one unit shared with ``own``, the value they are compared
-    with. When T is affordable whole they are sums of Fractions. Otherwise
-    the costs of T and the budget are scaled to ints by the LCM of their
-    denominators, the values of T and ``own`` by another LCM, and the answers
-    are ints read off Pareto frontiers of (cost, value) cut at the budget
-    (Nemhauser and Ullmann, 1969): one frontier per suffix of T, built once,
-    and a running prefix frontier; the best value of T - h merges the
-    frontiers on either side of h. When those frontiers could grow past
-    ``_FRONTIER_ENTRIES``, the answers are :func:`knapsack_vmax` values.
+    Answers are ints in the agent's units, the instance's integer form of
+    its values; ``own``, the value they are compared with, is kept as the
+    floor of ``own`` times the agent's scale, which no int answer beats
+    unless it beats ``own``. When T is affordable whole the answers are sums.
+    Otherwise they are read off Pareto frontiers of (cost, value) in the
+    instance's integer costs, cut at the budget (Nemhauser and Ullmann,
+    1969): one frontier per suffix of T, built once, and a running prefix
+    frontier; the best value of T - h merges the frontiers on either side
+    of h. When those frontiers could grow past ``_FRONTIER_ENTRIES``, the
+    answers are :func:`knapsack_vmax` values.
     """
 
     def __init__(
         self, instance: Instance, agent: int, target: Bundle, own: Fraction = ZERO
     ) -> None:
         self.goods = goods = sorted(target)
-        budget = instance.budgets[agent]
-        costs = [instance.costs[g] for g in goods]
-        row = instance.values[agent]
+        int_costs = instance._int_costs
+        costs = [int_costs[g] for g in goods]
+        row = instance._int_values[agent]
         vals = [row[g] for g in goods]
-        self.own, self.scale = own, 1
-        if sum(costs, ZERO) <= budget:
-            self.best = sum(vals, ZERO)
+        self.scale = scale = instance._value_scales[agent]
+        self.own = own.numerator * scale // own.denominator
+        cap = instance._int_budgets[agent]
+        if sum(costs) <= cap:
+            self.best = sum(vals)
             self._vals = vals
             self.without = self._from_sums
             return
         n = len(goods)
-        scaled, _ = _over_common_denominator(costs + [budget])
-        cap = scaled.pop()
         if (n + 1) * min(1 << n, cap + 1) > _FRONTIER_ENTRIES:
-            self._args = (instance, agent, frozenset(goods), budget, costs)
-            self.best = knapsack_vmax(instance, agent, goods, budget).value
+            self._args = (instance, agent, frozenset(goods))
+            answer = knapsack_vmax(instance, agent, goods, instance.budgets[agent])
+            self.best = self._units(answer.value)
             self.without = self._per_drop
             return
-        vals, self.scale = _over_common_denominator(vals + [own])
-        self.own = vals.pop()
         suffixes = [[(0, 0)]]
-        for c, v in zip(reversed(scaled), reversed(vals)):
+        for c, v in zip(reversed(costs), reversed(vals)):
             suffixes.append(_with_good(suffixes[-1], c, v, cap))
         suffixes.reverse()
         self.best = suffixes[0][-1][1]
-        self._frontier = (scaled, vals, cap, suffixes)
+        self._frontier = (costs, vals, cap, suffixes)
         self.without = self._from_frontiers
 
-    def _from_sums(self, ef1: bool) -> Iterator[tuple[int, Fraction]]:
+    def _units(self, value: Fraction) -> int:
+        # A sum of the agent's values: its denominator divides the scale.
+        return value.numerator * (self.scale // value.denominator)
+
+    def _from_sums(self, ef1: bool) -> Iterator[tuple[int, int]]:
         # T - h costs at most B - c(h), so for EFx and EF1 alike the answer
         # is all of T - h.
         return ((g, self.best - v) for g, v in zip(self.goods, self._vals))
 
-    def _per_drop(self, ef1: bool) -> Iterator[tuple[int, Fraction]]:
-        instance, agent, target, budget, costs = self._args
-        for g, c in zip(self.goods, costs):
-            room = budget - c if ef1 else budget
+    def _per_drop(self, ef1: bool) -> Iterator[tuple[int, int]]:
+        instance, agent, target = self._args
+        budget = instance.budgets[agent]
+        for g in self.goods:
+            room = budget - instance.costs[g] if ef1 else budget
             if room >= 0:
-                yield g, knapsack_vmax(instance, agent, target - {g}, room).value
+                answer = knapsack_vmax(instance, agent, target - {g}, room)
+                yield g, self._units(answer.value)
 
     def _from_frontiers(self, ef1: bool) -> Iterator[tuple[int, int]]:
         costs, vals, cap, suffixes = self._frontier
@@ -411,7 +443,7 @@ class _LeaveOneOut:
                 yield g, _best_of_two(prefix, suffixes[k + 1], room)
             prefix = _with_good(prefix, costs[k], vals[k], cap)
 
-    def fraction(self, amount: Fraction | int) -> Fraction:
+    def fraction(self, amount: int) -> Fraction:
         return Fraction(amount, self.scale)
 
     def envies(self) -> bool:

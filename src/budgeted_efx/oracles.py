@@ -22,10 +22,9 @@ from .model import (
     InvariantViolationError,
     StructuralError,
     ZERO,
-    _over_common_denominator,
     bundle_cost,
     bundle_value,
-    is_efx,
+    efx_envies,
     to_rational,
 )
 
@@ -130,12 +129,14 @@ def _welfare_walk(
     good to one owner. Each bound caps every leaf below the node whatever
     ``accept`` says, so no pruned leaf could have replaced the incumbent.
 
-    The search runs on integers. Costs and budgets are scaled by the LCM of
-    their denominators, so every feasibility test is unchanged. Agent a's
-    values are scaled by their own LCM L_a, so every leaf product and every
-    bound is the exact one times the positive constant prod(L_a): the
-    comparisons, the pruning and the first optimum are unchanged, and the
-    returned product is the best scaled product divided by prod(L_a).
+    The search runs on the instance's integer form. Costs and budgets share
+    one scale, so every feasibility test is unchanged. Agent a's values are
+    scaled by their own L_a. Scaling one agent's values by a constant c > 0
+    multiplies both sides of every comparison the walk makes by the same
+    factor: c for leaf products and the product bound, c^k for the
+    exclusivity bound. So the pruning and the first optimum do not depend
+    on the scales, and the returned product is the best scaled product
+    divided by prod(L_a).
     """
     agents = tuple(sorted(set(agents)))
     if not agents:
@@ -147,16 +148,10 @@ def _welfare_walk(
     k = len(agents)
     n = len(goods)
 
-    amounts, _ = _over_common_denominator(
-        [instance.costs[g] for g in goods] + [instance.budgets[a] for a in agents]
-    )
-    costs, caps = amounts[:n], amounts[n:]
-    vals: list[list[int]] = []
-    value_scale = 1
-    for a in agents:
-        row, lcm = _over_common_denominator([instance.values[a][g] for g in goods])
-        vals.append(row)
-        value_scale *= lcm
+    costs = [instance._int_costs[g] for g in goods]
+    caps = [instance._int_budgets[a] for a in agents]
+    vals = [[instance._int_values[a][g] for g in goods] for a in agents]
+    value_scale = math.prod(instance._value_scales[a] for a in agents)
 
     suffix = [[0] * (n + 1) for _ in range(k)]
     for ai in range(k):
@@ -252,8 +247,9 @@ def complete_efx_allocation(
 
     A depth-first search decides the goods in ascending id order and tries
     the agents in ascending id order, so it meets the complete assignments
-    in lexicographic order. It runs on integers (each agent's values scaled
-    by their own LCM, which keeps that agent's comparisons) and keeps
+    in lexicographic order. It runs on the instance's integer form (each
+    agent's values over that agent's own scale, which keeps that agent's
+    comparisons) and keeps
     v_i(P_j) and min_i(P_j) for all nine pairs as goods are placed. A node
     is pruned when some v_i(P_j) - min_i(P_j) exceeds v_i(P_i) plus agent
     i's value of the goods not yet placed. The left side never shrinks as
@@ -275,10 +271,7 @@ def complete_efx_allocation(
 
     goods = sorted(pool)
     n = len(goods)
-    vals = [
-        _over_common_denominator([instance.values[a][g] for g in goods])[0]
-        for a in agents
-    ]
+    vals = [[instance._int_values[a][g] for g in goods] for a in agents]
     rest = [[0] * (n + 1) for _ in range(3)]
     for ai in range(3):
         for idx in range(n - 1, -1, -1):
@@ -324,12 +317,18 @@ def complete_efx_allocation(
         bundles: list[Bundle] = [frozenset()] * instance.num_agents
         for ai, a in enumerate(agents):
             bundles[a] = frozenset(parts[ai])
-        allocation = Allocation(tuple(bundles), pool)
-        if not is_efx(instance, allocation):
+        # Cross-check the three agents against each other only: any other
+        # agent of the instance holds nothing and is no part of the claim.
+        if any(
+            efx_envies(instance, bundle_value(instance, a, bundles[a]), a, bundles[b])
+            for a in agents
+            for b in agents
+            if a != b
+        ):
             raise InvariantViolationError(
                 "fast EFx test disagrees with the general predicate"
             )
-        return allocation
+        return Allocation(tuple(bundles), pool)
 
     raise ExistenceViolationError(
         "no complete EFx allocation found despite the affordability "

@@ -11,11 +11,11 @@ allocation is budget-feasible, EFx, and its welfare product is at least
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import itertools
 
 from .model import (
     Allocation,
@@ -116,23 +116,31 @@ def preprocess(instance: Instance, opt: Allocation) -> tuple[Bundle, SetAside]:
     matched-good ids). Afterwards no remaining affordable good beats any
     agent's set-aside good.
     """
+    # Values are compared on the instance's integer form: one agent's on
+    # her own row, sums across agents over the common denominator of their
+    # scales, so every comparison reads as it would on the Fractions.
     n = instance.num_agents
+    costs, budgets = instance._int_costs, instance._int_budgets
+    rows = instance._int_values
     nominations: list[list[int]] = []
     for i in range(n):
-        affordable = [g for g in range(instance.num_goods) if instance.costs[g] <= instance.budgets[i]]
-        affordable.sort(key=lambda g: (-instance.values[i][g], g))
+        row = rows[i]
+        affordable = [g for g in range(instance.num_goods) if costs[g] <= budgets[i]]
+        affordable.sort(key=lambda g: (-row[g], g))
         nominations.append(affordable[:3])
 
-    required: list[Fraction | None] = []
+    required: list[int | None] = []
     for i in range(n):
-        own_opt = [g for g in nominations[i] if g in opt.bundles[i]]
-        if own_opt:
-            required.append(max(instance.values[i][g] for g in own_opt))
-        else:
-            required.append(None)
+        own_opt = [rows[i][g] for g in nominations[i] if g in opt.bundles[i]]
+        required.append(max(own_opt) if own_opt else None)
 
+    common = math.lcm(*instance._value_scales)
+    weights = [
+        [v * (common // scale) for v in row]
+        for row, scale in zip(rows, instance._value_scales)
+    ]
     sentinel = instance.num_goods
-    best_weight: Fraction | None = None
+    best_weight: int | None = None
     best_combo: tuple[int | None, ...] | None = None
     for combo in itertools.product(*[nom + [None] for nom in nominations]):
         chosen = [g for g in combo if g is not None]
@@ -142,15 +150,12 @@ def preprocess(instance: Instance, opt: Allocation) -> tuple[Bundle, SetAside]:
         for i in range(n):
             if required[i] is None:
                 continue
-            if combo[i] is None or instance.values[i][combo[i]] < required[i]:
+            if combo[i] is None or rows[i][combo[i]] < required[i]:
                 ok = False
                 break
         if not ok:
             continue
-        weight = sum(
-            (instance.values[i][g] for i, g in enumerate(combo) if g is not None),
-            Fraction(0),
-        )
+        weight = sum(weights[i][g] for i, g in enumerate(combo) if g is not None)
         tie = tuple(sentinel if g is None else g for g in combo)
         if (
             best_weight is None

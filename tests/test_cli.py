@@ -1,19 +1,32 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import budgeted_efx
 import budgeted_efx.cli as cli_mod
 from budgeted_efx.cli import main
 from budgeted_efx.instances import gen_instances, instance_to_json
-from budgeted_efx.model import MAX_GOODS, InvariantViolationError
-from budgeted_efx.oracles import ExistenceViolationError
+from budgeted_efx.model import (
+    MAX_GOODS,
+    DegenerateOptimumError,
+    Instance,
+    InvariantViolationError,
+)
+from budgeted_efx.oracles import (
+    ExistenceViolationError,
+    SearchBudget,
+    max_nsw_allocation,
+)
 
 
 def run(capsys, *argv):
@@ -133,6 +146,18 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path), "--algorithm", "efx2")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("cost", ["0.5", "1e-3", " 1 ", "1e400"])
+    def test_inexact_number_spellings_are_parse_errors(self, capsys, tmp_path, cost):
+        doc = {
+            "goods": [{"id": 0, "cost": cost}, {"id": 1, "cost": 1}],
+            "agents": [{"id": i, "budget": 2, "values": [1, 1]} for i in range(2)],
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(path), "--algorithm", "efx2")
+        assert (code, out) == (1, "")
+        assert "goods[0].cost: malformed rational" in err
 
     def test_missing_instance_file_is_a_parse_error(self, capsys, tmp_path):
         missing = tmp_path / "no_such.json"
@@ -497,6 +522,66 @@ class TestReportContract:
         for p in paths:
             run(capsys, "solve", str(t1_path), "--algorithm", "efx2", "--out", str(p))
         assert paths[0].read_text() == paths[1].read_text()
+
+
+numbers = st.one_of(
+    st.integers(0, 6).map(Fraction),
+    st.fractions(min_value=0, max_value=6, max_denominator=7),
+)
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(0, 5))
+    return Instance(
+        tuple(draw(numbers) for _ in range(m)),
+        tuple(draw(numbers) for _ in range(n)),
+        tuple(tuple(draw(numbers) for _ in range(m)) for _ in range(n)),
+    )
+
+
+class TestCanonicalReports:
+    """solve and verify write a report as json.dumps(report, indent=2,
+    sort_keys=True) plus a newline would."""
+
+    @staticmethod
+    def assert_written_as_json_dumps(report):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            cli_mod._write_report(report, None)
+        assert text.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    @settings(deadline=None, max_examples=60)
+    @given(small_instances(), st.text())
+    def test_reports_of_every_algorithm_and_of_verify(self, inst, text):
+        search = SearchBudget()
+        pair_or_triple = "efx2" if inst.num_agents == 2 else "efx3"
+        for algorithm in (pair_or_triple, "oracle-nsw", "oracle-efx"):
+            try:
+                report = cli_mod._solve_report(inst, algorithm, search)
+            except DegenerateOptimumError:
+                continue
+            report["trace"]["note"] = text
+            self.assert_written_as_json_dumps(report)
+        agents, goods = range(inst.num_agents), inst.all_goods()
+        optimum = max_nsw_allocation(inst, agents, goods, search)
+        self.assert_written_as_json_dumps(cli_mod._verify_report(inst, optimum, search))
+
+    def test_a_witness_notes_and_escaped_strings(self, t1):
+        witnessed = cli_mod._solve_report(t1, "oracle-nsw", SearchBudget())
+        assert witnessed["efx"]["witness"] is not None
+        self.assert_written_as_json_dumps(witnessed)
+        noted = next(
+            report
+            for report in (
+                cli_mod._solve_report(inst, "efx3", SearchBudget())
+                for inst in gen_instances(3, 100, 3, (4, 9))
+            )
+            if report["trace"]["notes"]
+        )
+        noted["trace"]["notes"].append('a "quoted" caf\u00e9 \u2713 \\ tab\t line\n')
+        self.assert_written_as_json_dumps(noted)
 
 
 class TestUsage:

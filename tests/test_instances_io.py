@@ -3,10 +3,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from budgeted_efx.instances import (
     GenerationError,
     ParseError,
+    _canonical_json,
     allocation_to_payload,
     gen_instances,
     instance_sha256,
@@ -15,7 +17,7 @@ from budgeted_efx.instances import (
     parse_instance,
     serialize_instance,
 )
-from budgeted_efx.model import make_allocation
+from budgeted_efx.model import Instance, make_allocation
 from budgeted_efx.oracles import max_nsw_allocation
 
 from conftest import GOLDEN
@@ -60,6 +62,75 @@ class TestParsing:
         }
         with pytest.raises(ParseError, match=r"goods\[0\]"):
             parse_instance(doc)
+
+    @staticmethod
+    def with_cost(cost) -> dict:
+        return {
+            "goods": [{"id": 0, "cost": cost}],
+            "agents": [{"id": 0, "budget": 1, "values": [1]}],
+        }
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.5",
+            "1e-3",
+            "1e400",
+            " 1 ",
+            "1 ",
+            "+1",
+            "1_000",
+            "\u0661",
+            "1/\u0662",
+            "1/2/3",
+            "1/-2",
+            "--1",
+            "-",
+            "",
+            "/2",
+            "1/",
+            "0x10",
+            "inf",
+        ],
+        ids=[
+            "decimal-point",
+            "exponent",
+            "overflowing-exponent",
+            "padded",
+            "trailing-space",
+            "plus-sign",
+            "underscore",
+            "non-ascii-digit",
+            "non-ascii-denominator",
+            "two-slashes",
+            "negative-denominator",
+            "double-minus",
+            "bare-minus",
+            "empty",
+            "no-numerator",
+            "no-denominator",
+            "hexadecimal",
+            "infinity",
+        ],
+    )
+    def test_only_integers_and_p_q_strings_parse(self, text):
+        with pytest.raises(ParseError, match=r"goods\[0\]\.cost: malformed rational"):
+            parse_instance(self.with_cost(text))
+
+    def test_a_zero_denominator_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="malformed rational '1/0'"):
+            parse_instance(self.with_cost("1/0"))
+
+    @pytest.mark.parametrize("text", ["-1", "-1/2", "-3/6"])
+    def test_a_negative_number_parses_and_the_instance_rejects_it(self, text):
+        with pytest.raises(ParseError, match="costs must be nonnegative"):
+            parse_instance(self.with_cost(text))
+
+    @pytest.mark.parametrize(
+        "text, value", [("007", F(7)), ("-0", F(0)), ("6/4", F(3, 2)), ("0/5", F(0))]
+    )
+    def test_ascii_digit_forms_parse_exactly(self, text, value):
+        assert parse_instance(self.with_cost(text)).costs == (value,)
 
     def test_duplicate_and_gapped_ids_rejected(self):
         base = {
@@ -130,6 +201,73 @@ class TestParsing:
             ],
         }
         assert instance_sha256(parse_instance(doc)) == instance_sha256(t1)
+
+
+numbers = st.one_of(
+    st.just(F(0)),
+    st.integers(0, 10**12).map(F),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
+)
+
+
+@st.composite
+def drawn_instances(draw):
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(0, 5))
+    return Instance(
+        tuple(draw(numbers) for _ in range(m)),
+        tuple(draw(numbers) for _ in range(n)),
+        tuple(tuple(draw(numbers) for _ in range(m)) for _ in range(n)),
+    )
+
+
+class TestCanonicalText:
+    @settings(deadline=None, max_examples=300)
+    @given(drawn_instances())
+    def test_instance_text_is_json_dumps_of_the_document(self, inst):
+        expected = json.dumps(serialize_instance(inst), indent=2, sort_keys=True) + "\n"
+        assert instance_to_json(inst) == expected
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance((), (), ()),
+            Instance((), (F(1, 2),), ((),)),
+            Instance((F(0),), (), ()),
+            Instance((F(3),), (F(7, 2),), ((F(0),),)),
+        ],
+        ids=["empty", "one-agent-no-goods", "no-agents", "one-agent-one-good"],
+    )
+    def test_empty_arrays_are_written_as_json_dumps_writes_them(self, inst):
+        expected = json.dumps(serialize_instance(inst), indent=2, sort_keys=True) + "\n"
+        assert instance_to_json(inst) == expected
+
+    documents = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=20,
+    )
+
+    @settings(deadline=None, max_examples=300)
+    @given(documents)
+    def test_documents_are_written_as_json_dumps_writes_them(self, doc):
+        assert _canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"nsw_product": 0.5},
+            {"values": [1, F(1, 2)]},
+            {"bundles": [{0, 1}]},
+            {1: "an integer key"},
+        ],
+        ids=["float", "fraction", "set", "integer-key"],
+    )
+    def test_other_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            _canonical_json(doc)
 
 
 class TestAllocationDocuments:

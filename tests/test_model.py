@@ -154,6 +154,22 @@ class TestEnvy:
     def test_singleton_target_cannot_be_efx_envied(self, t1):
         assert not efx_envies(t1, 0, 0, {2})
 
+    @pytest.mark.parametrize(
+        "budget, target, frontier_entries",
+        [(2, {0, 1}, None), (1, {0, 1, 2}, None), (1, {0, 1, 2}, 0)],
+        ids=["sums", "frontiers", "per-drop"],
+    )
+    def test_an_own_value_between_two_integer_answers(
+        self, monkeypatch, budget, target, frontier_entries
+    ):
+        # On every path the best value after a drop is 3, in units of 1, and
+        # an own value of 5/2 falls between two units: 3 beats it, not 3.
+        if frontier_entries is not None:
+            monkeypatch.setattr(model, "_FRONTIER_ENTRIES", frontier_entries)
+        inst = build([1, 1, 1], [budget], [[3, 3, 3]])
+        assert efx_envies(inst, F(5, 2), 0, target)
+        assert not efx_envies(inst, 3, 0, target)
+
     def test_two_step_form_agrees_with_literal_quantifiers(self):
         rng = random.Random(11)
         for _ in range(80):

@@ -329,6 +329,16 @@ class TestCompleteEfxAllocation:
         with pytest.raises(SearchCapExceededError):
             complete_efx_allocation(inst, agents, pool, SearchBudget(leaves - 1))
 
+    def test_agents_outside_the_three_are_not_checked(self):
+        # Agent 3 holds nothing and values each good above her empty bundle,
+        # so the allocation is not EFx for the whole instance; the claim is
+        # about agents 0, 1 and 2 only.
+        inst = build([1] * 4, [10] * 4, [[1] * 4] * 3 + [[5] * 4])
+        agents, pool = (0, 1, 2), {0, 1, 2, 3}
+        out = complete_efx_allocation(inst, agents, pool)
+        assert out.bundles == literal_first_complete_efx(inst, agents, pool)
+        assert not is_efx(inst, out)
+
     def test_unaffordable_pool_rejected(self):
         inst = build([5, 5], [4, 9, 9], [[1, 1]] * 3)
         with pytest.raises(StructuralError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from budgeted_efx.model import (
     Allocation,
+    bundle_cost,
     bundle_value,
     efx_envies,
     efx_violation,
@@ -39,12 +40,14 @@ rationals = st.fractions(min_value=0, max_value=12, max_denominator=4)
 
 
 @st.composite
-def instances(draw, n_agents=st.integers(1, 3), n_goods=st.integers(0, 6)):
+def instances(
+    draw, n_agents=st.integers(1, 3), n_goods=st.integers(0, 6), numbers=rationals
+):
     n = draw(n_agents)
     m = draw(n_goods)
-    costs = tuple(draw(rationals) for _ in range(m))
-    budgets = tuple(draw(rationals) for _ in range(n))
-    values = tuple(tuple(draw(rationals) for _ in range(m)) for _ in range(n))
+    costs = tuple(draw(numbers) for _ in range(m))
+    budgets = tuple(draw(numbers) for _ in range(n))
+    values = tuple(tuple(draw(numbers) for _ in range(m)) for _ in range(n))
     return build(costs, budgets, values)
 
 
@@ -68,6 +71,24 @@ def instance_with_allocation(draw):
         frozenset(g for g, code in enumerate(codes) if code == i) for i in range(n)
     )
     return inst, Allocation(bundles, inst.all_goods())
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    instances(
+        n_goods=st.integers(0, 8),
+        numbers=st.fractions(min_value=0, max_value=50, max_denominator=30),
+    ),
+    st.data(),
+)
+def test_bundle_sums_match_literal_fraction_sums(inst, data):
+    """The integer form gives back each Fraction sum, on rows whose
+    denominators differ from good to good."""
+    goods = st.integers(0, inst.num_goods - 1) if inst.num_goods else st.nothing()
+    bundle = data.draw(st.frozensets(goods))
+    assert bundle_cost(inst, bundle) == cost_of(inst, bundle)
+    for agent in range(inst.num_agents):
+        assert bundle_value(inst, agent, bundle) == value_of(inst, agent, bundle)
 
 
 @settings(deadline=None)

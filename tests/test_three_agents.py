@@ -69,6 +69,19 @@ class TestPreprocess:
         assert setaside.goods == (0, 2, 4)
         assert pool == frozenset({1, 3, 5})
 
+    def test_matchings_are_weighed_across_agents_exactly(self):
+        # Agent 0's values are in tenths and agent 1's in wholes. Goods 1
+        # and 0 to agents 0 and 1 weigh 9/10 + 1, the other way round
+        # 1 + 0; summed on each agent's own integer row both read 10.
+        inst = build(
+            [1] * 4, [4] * 3, [[1, F(9, 10), 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+        )
+        nothing = Allocation((frozenset(),) * 3, inst.all_goods())
+        pool, setaside = preprocess(inst, nothing)
+        assert setaside.goods == (1, 0, 3)
+        assert setaside.values == (F(9, 10), 1, 1)
+        assert pool == frozenset({2})
+
     def test_no_remaining_affordable_good_beats_a_setaside(self):
         rng = random.Random(91)
         for _ in range(30):
