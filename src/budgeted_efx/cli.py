@@ -30,6 +30,7 @@ from .instances import (
     instance_to_json,
     parse_allocation,
     parse_instance,
+    rational_from_json,
     rational_to_json,
 )
 from .model import (
@@ -214,9 +215,10 @@ def _solve_report(
     elif algorithm == "efx3":
         if instance.num_agents != 3:
             raise StructuralError("efx3 requires a three-agent instance")
+        alpha = rational_from_json(alpha, "alpha")
         try:
-            params = AlphaParams(Fraction(alpha))
-        except (ValueError, ZeroDivisionError, StructuralError) as exc:
+            params = AlphaParams(alpha)
+        except StructuralError as exc:
             raise ParseError(f"bad alpha: {exc}") from exc
         result = efx_3a(instance, params, search)
         report = _base_report(instance, "efx3", result.allocation)

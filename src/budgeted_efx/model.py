@@ -5,8 +5,9 @@ efficiency predicates. All arithmetic is exact. Numbers enter as
 :class:`fractions.Fraction`, and each :class:`Instance` converts its own
 numbers once, when it is built, into an integer form: costs and budgets over
 one common denominator, and each agent's values over that agent's own. The
-bundle sums, the leave-one-out knapsack engine (``_LeaveOneOut``) behind the
-envy, EFx and EF1 predicates and the feasibility graph, and the searches in
+bundle sums, the one knapsack kernel (suffix Pareto frontiers, read by
+``knapsack_vmax`` and by the leave-one-out engine ``_LeaveOneOut`` behind the
+envy, EFx and EF1 predicates and the feasibility graph), and the searches in
 ``oracles`` read that form; results leave as Fractions. Floating point is
 rejected at the boundary because every predicate in this package compares
 exact sums.
@@ -15,8 +16,10 @@ exact sums.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 Bundle = frozenset
@@ -32,6 +35,7 @@ __all__ = [
     "InvariantViolationError",
     "KnapsackAnswer",
     "MAX_GOODS",
+    "SearchCapExceededError",
     "StructuralError",
     "bundle_cost",
     "bundle_value",
@@ -43,7 +47,6 @@ __all__ = [
     "is_envy_free",
     "knapsack_vmax",
     "make_allocation",
-    "monopoly_value",
     "normalize",
     "nsw_product",
     "to_rational",
@@ -51,8 +54,8 @@ __all__ = [
 
 ZERO = Fraction(0)
 
-# The knapsack, welfare and Pareto walks recurse once per good; this keeps
-# them well inside Python's default limit of 1,000 frames.
+# The welfare and Pareto walks recurse once per good; this keeps them well
+# inside Python's default limit of 1,000 frames.
 MAX_GOODS = 512
 
 
@@ -70,6 +73,10 @@ class DegenerateOptimumError(FairDivisionError):
 
 class InvariantViolationError(FairDivisionError):
     """A guaranteed property failed at runtime; indicates a bug, not bad input."""
+
+
+class SearchCapExceededError(FairDivisionError):
+    """The enumeration cap was hit; the caller gets an error, never a guess."""
 
 
 def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -265,7 +272,8 @@ def knapsack_vmax(
 ) -> KnapsackAnswer:
     """Maximum-value budget-feasible sub-bundle of ``pool`` for ``agent``.
 
-    Exhaustive subset search with cost pruning. Among equal-value optima the
+    Reads the suffix Pareto frontiers of the pool on the instance's integer
+    form (see :func:`_suffix_frontiers`). Among equal-value optima the
     witness is the one whose sorted good-id sequence is lexicographically
     smallest, which makes every downstream trace reproducible.
     """
@@ -275,63 +283,48 @@ def knapsack_vmax(
     if budget < 0:
         raise StructuralError("budget must be nonnegative")
     goods = sorted(pool)
-    costs = instance.costs
-    vals = instance.values[agent]
+    int_costs = instance._int_costs
+    costs = [int_costs[g] for g in goods]
+    row = instance._int_values[agent]
+    vals = [row[g] for g in goods]
+    scale = instance._value_scales[agent]
+    # The costs are integers over _cost_scale, so a sum fits the budget
+    # exactly when it fits the floor of the scaled budget.
+    cap = budget.numerator * instance._cost_scale // budget.denominator
 
     # Whole pool affordable: the max value is the sum of the positive-value
     # goods, and the lexicographic tie-break admits every zero-value good
     # below the largest positive one (prepending small ids shrinks the
     # sorted sequence, appending large ids grows it).
-    if sum((costs[g] for g in goods), ZERO) <= budget:
-        positives = [g for g in goods if vals[g] > 0]
+    if sum(costs) <= cap:
+        positives = [g for g, v in zip(goods, vals) if v > 0]
         if not positives:
             return KnapsackAnswer(ZERO, frozenset())
         top = positives[-1]
-        witness = frozenset(g for g in goods if vals[g] > 0 or g < top)
-        return KnapsackAnswer(sum((vals[g] for g in positives), ZERO), witness)
+        witness = frozenset(g for g, v in zip(goods, vals) if v > 0 or g < top)
+        return KnapsackAnswer(Fraction(sum(vals), scale), witness)
 
-    n = len(goods)
-    suffix = [ZERO] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + vals[goods[i]]
-
-    best_value = ZERO
-    best_witness: tuple[int, ...] = ()
-    chosen: list[int] = []
-
-    def walk(idx: int, cost: Fraction, value: Fraction) -> None:
-        nonlocal best_value, best_witness
-        if value + suffix[idx] < best_value:
-            return
-        if idx == n:
-            if value > best_value or (
-                value == best_value and tuple(chosen) < best_witness
-            ):
-                best_value = value
-                best_witness = tuple(chosen)
-            return
-        g = goods[idx]
-        with_g = cost + costs[g]
-        if with_g <= budget:
-            chosen.append(g)
-            walk(idx + 1, with_g, value + vals[g])
-            chosen.pop()
-        walk(idx + 1, cost, value)
-
-    walk(0, ZERO, ZERO)
-    return KnapsackAnswer(best_value, frozenset(best_witness))
+    suffixes = _suffix_frontiers(costs, vals, cap, agent)
+    best = suffixes[0][-1][1]
+    # The smallest sorted sequence: take each good, ascending, with which
+    # the optimum is still reachable from the goods after it, and stop once
+    # the chosen goods reach it.
+    need, room, witness = best, cap, []
+    for k, g in enumerate(goods):
+        if need == 0:
+            break
+        rest = room - costs[k]
+        if rest >= 0 and vals[k] + _best_within(suffixes[k + 1], rest) >= need:
+            witness.append(g)
+            need -= vals[k]
+            room = rest
+    return KnapsackAnswer(Fraction(best, scale), frozenset(witness))
 
 
-def monopoly_value(instance: Instance, agent: int, budget: RationalLike) -> Fraction:
-    """Best value the agent could reach if she alone chose from all goods."""
-    return knapsack_vmax(instance, agent, instance.all_goods(), budget).value
-
-
-# The engine keeps |T| + 1 suffix frontiers of at most min(2^|T|, B + 1)
-# entries each (B the budget in the instance's integer costs). Past this
-# many entries in the worst case it calls knapsack_vmax once per removed
-# good instead.
-_FRONTIER_ENTRIES = 1 << 16
+# The most entries the suffix frontiers of one knapsack call may hold; past
+# it the call raises SearchCapExceededError rather than exhaust memory.
+# 2^21 entries are about 240 MB.
+_FRONTIER_ENTRIES = 1 << 21
 
 
 def _with_good(front: list, cost: int, value: int, cap: int) -> list:
@@ -350,6 +343,35 @@ def _with_good(front: list, cost: int, value: int, cap: int) -> list:
             else:
                 out.append((c, v))
     return out
+
+
+def _suffix_frontiers(costs: list, vals: list, cap: int, agent: int) -> list:
+    """Pareto frontiers of (cost, value) over the subsets of each suffix of
+    the goods, cut at ``cap`` (Nemhauser and Ullmann, 1969): ``[k]`` covers
+    goods ``k`` onwards, and the last is ``[(0, 0)]``.
+
+    Raises :class:`SearchCapExceededError` once they hold more than
+    ``_FRONTIER_ENTRIES`` entries.
+    """
+    suffixes = [[(0, 0)]]
+    held = 1
+    for c, v in zip(reversed(costs), reversed(vals)):
+        front = _with_good(suffixes[-1], c, v, cap)
+        if front is not suffixes[-1]:
+            held += len(front)
+            if held > _FRONTIER_ENTRIES:
+                raise SearchCapExceededError(
+                    f"knapsack frontiers of agent {agent} over {len(costs)} goods "
+                    f"reached {held} entries, past the cap of {_FRONTIER_ENTRIES}"
+                )
+        suffixes.append(front)
+    suffixes.reverse()
+    return suffixes
+
+
+def _best_within(front: list, room: int) -> int:
+    # The best value on a frontier at cost at most ``room`` >= 0.
+    return front[bisect_right(front, room, key=itemgetter(0)) - 1][1]
 
 
 def _best_of_two(left: list, right: list, cap: int) -> int:
@@ -377,12 +399,9 @@ class _LeaveOneOut:
     its values; ``own``, the value they are compared with, is kept as the
     floor of ``own`` times the agent's scale, which no int answer beats
     unless it beats ``own``. When T is affordable whole the answers are sums.
-    Otherwise they are read off Pareto frontiers of (cost, value) in the
-    instance's integer costs, cut at the budget (Nemhauser and Ullmann,
-    1969): one frontier per suffix of T, built once, and a running prefix
-    frontier; the best value of T - h merges the frontiers on either side
-    of h. When those frontiers could grow past ``_FRONTIER_ENTRIES``, the
-    answers are :func:`knapsack_vmax` values.
+    Otherwise they are read off the suffix frontiers of T
+    (:func:`_suffix_frontiers`) and a running prefix frontier; the best
+    value of T - h merges the frontiers on either side of h.
     """
 
     def __init__(
@@ -399,40 +418,23 @@ class _LeaveOneOut:
         if sum(costs) <= cap:
             self.best = sum(vals)
             self._vals = vals
-            self.without = self._from_sums
+            self._frontier = None
             return
-        n = len(goods)
-        if (n + 1) * min(1 << n, cap + 1) > _FRONTIER_ENTRIES:
-            self._args = (instance, agent, frozenset(goods))
-            answer = knapsack_vmax(instance, agent, goods, instance.budgets[agent])
-            self.best = self._units(answer.value)
-            self.without = self._per_drop
-            return
-        suffixes = [[(0, 0)]]
-        for c, v in zip(reversed(costs), reversed(vals)):
-            suffixes.append(_with_good(suffixes[-1], c, v, cap))
-        suffixes.reverse()
+        suffixes = _suffix_frontiers(costs, vals, cap, agent)
         self.best = suffixes[0][-1][1]
         self._frontier = (costs, vals, cap, suffixes)
-        self.without = self._from_frontiers
 
-    def _units(self, value: Fraction) -> int:
-        # A sum of the agent's values: its denominator divides the scale.
-        return value.numerator * (self.scale // value.denominator)
-
-    def _from_sums(self, ef1: bool) -> Iterator[tuple[int, int]]:
-        # T - h costs at most B - c(h), so for EFx and EF1 alike the answer
-        # is all of T - h.
-        return ((g, self.best - v) for g, v in zip(self.goods, self._vals))
-
-    def _per_drop(self, ef1: bool) -> Iterator[tuple[int, int]]:
-        instance, agent, target = self._args
-        budget = instance.budgets[agent]
-        for g in self.goods:
-            room = budget - instance.costs[g] if ef1 else budget
-            if room >= 0:
-                answer = knapsack_vmax(instance, agent, target - {g}, room)
-                yield g, self._units(answer.value)
+    def without(self, ef1: bool) -> Iterator[tuple[int, int]]:
+        """Each good h of T, ascending, with the best value of T - h at
+        budget B (EFx), or at B - c(h) when ``ef1``; goods with c(h) > B
+        are skipped then."""
+        # A method, not a bound method stored on self: that would make a
+        # reference cycle, and the frontiers would wait for the cyclic GC.
+        if self._frontier is None:
+            # T - h costs at most B - c(h), so for EFx and EF1 alike the
+            # answer is all of T - h.
+            return ((g, self.best - v) for g, v in zip(self.goods, self._vals))
+        return self._from_frontiers(ef1)
 
     def _from_frontiers(self, ef1: bool) -> Iterator[tuple[int, int]]:
         costs, vals, cap, suffixes = self._frontier

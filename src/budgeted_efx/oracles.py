@@ -20,6 +20,7 @@ from .model import (
     FairDivisionError,
     Instance,
     InvariantViolationError,
+    SearchCapExceededError,
     StructuralError,
     ZERO,
     bundle_cost,
@@ -43,10 +44,6 @@ __all__ = [
 ]
 
 ONE = Fraction(1)
-
-
-class SearchCapExceededError(FairDivisionError):
-    """The enumeration cap was hit; the caller gets an error, never a guess."""
 
 
 class ExistenceViolationError(FairDivisionError):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import budgeted_efx
 import budgeted_efx.cli as cli_mod
+from budgeted_efx import model
 from budgeted_efx.cli import main
 from budgeted_efx.instances import gen_instances, instance_to_json
 from budgeted_efx.model import (
@@ -21,6 +22,10 @@ from budgeted_efx.model import (
     DegenerateOptimumError,
     Instance,
     InvariantViolationError,
+    SearchCapExceededError,
+    is_efx,
+    knapsack_vmax,
+    make_allocation,
 )
 from budgeted_efx.oracles import (
     ExistenceViolationError,
@@ -109,7 +114,9 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", str(t1_path), "--algorithm", "oracle-nsw")
         assert code == 3
 
-    def test_alpha_above_guarantee_refused(self, capsys, tmp_path):
+    @staticmethod
+    def efx3_on_four_goods(capsys, tmp_path, alpha):
+        """Solve a three-agent instance with four unit goods under ``alpha``."""
         doc = {
             "goods": [{"id": g, "cost": 1} for g in range(4)],
             "agents": [
@@ -118,11 +125,24 @@ class TestSolve:
         }
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(
-            capsys, "solve", str(path), "--algorithm", "efx3", "--alpha", "1/10"
-        )
+        return run(capsys, "solve", str(path), "--algorithm", "efx3", "--alpha", alpha)
+
+    def test_alpha_above_guarantee_refused(self, capsys, tmp_path):
+        code, _, err = self.efx3_on_four_goods(capsys, tmp_path, "1/10")
         assert code == 1
         assert "alpha" in err.lower() or "1/35" in err
+
+    @pytest.mark.parametrize("alpha", ["0.02", "1e-2", " 1/50 "])
+    def test_alpha_other_than_p_over_q_is_a_parse_error(self, capsys, tmp_path, alpha):
+        code, out, err = self.efx3_on_four_goods(capsys, tmp_path, alpha)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: alpha: malformed rational {alpha!r}")
+
+    def test_alpha_as_p_over_q_runs(self, capsys, tmp_path):
+        code, out, _ = self.efx3_on_four_goods(capsys, tmp_path, "1/50")
+        assert code == 0
+        assert report_of(out)["alpha"] == "1/50"
 
     def test_efx3_small_instance_passthrough(self, capsys, tmp_path):
         doc = {
@@ -277,6 +297,29 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err == f"error: 1500 goods exceed the limit of {MAX_GOODS}\n"
+
+    def test_knapsack_frontiers_past_the_cap_exit_3(self, capsys, tmp_path, monkeypatch):
+        # Agent 1 affords 5 of agent 0's goods costing 1 to 4: the suffix
+        # frontiers hold 1, 2, 3, then 5 entries, 11 in all.
+        monkeypatch.setattr(model, "_FRONTIER_ENTRIES", 8)
+        instance = Instance((1, 2, 3, 4), (10, 5), ((1, 1, 1, 1), (1, 2, 3, 4)))
+        message = (
+            "knapsack frontiers of agent 1 over 4 goods reached 11 entries, "
+            "past the cap of 8"
+        )
+        with pytest.raises(SearchCapExceededError, match=message):
+            knapsack_vmax(instance, 1, range(4), 5)
+        alloc = make_allocation(instance, [range(4), ()])
+        with pytest.raises(SearchCapExceededError, match=message):
+            is_efx(instance, alloc)
+        path = tmp_path / "inst.json"
+        path.write_text(instance_to_json(instance))
+        alloc_path = tmp_path / "alloc.json"
+        alloc_path.write_text(json.dumps({"bundles": [[0, 1, 2, 3], []]}))
+        code, out, err = run(capsys, "verify", str(path), str(alloc_path))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_an_instance_at_the_limit_verifies(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", *self.one_holder(tmp_path, MAX_GOODS))

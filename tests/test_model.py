@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from budgeted_efx import model
 from budgeted_efx.model import (
     Allocation,
     DegenerateOptimumError,
+    EfxViolation,
+    SearchCapExceededError,
     StructuralError,
     bundle_cost,
     bundle_value,
@@ -18,15 +21,20 @@ from budgeted_efx.model import (
     is_envy_free,
     knapsack_vmax,
     make_allocation,
-    monopoly_value,
     normalize,
     nsw_product,
     to_rational,
 )
 from budgeted_efx.oracles import knapsack_by_enumeration
-from budgeted_efx.two_agents import build_feasibility_graph
+from budgeted_efx.two_agents import FeasibilityGraph, build_feasibility_graph
 
-from helpers import build, literal_efx_envies, random_instance
+from helpers import (
+    build,
+    literal_drop_least_holds,
+    literal_efx_envies,
+    random_instance,
+    value_of,
+)
 
 F = Fraction
 
@@ -109,21 +117,21 @@ class TestKnapsack:
                 g for g in range(inst.num_goods) if rng.random() < 0.7
             )
             budget = F(rng.randint(0, 25))
-            fast = knapsack_vmax(inst, 0, pool, budget)
-            value, witness = knapsack_by_enumeration(inst, 0, pool, budget)
-            assert fast.value == value
-            assert fast.witness == witness
+            # The integer costs fit b + 1/3 exactly when they fit b.
+            for b in (budget, budget + F(1, 3)):
+                fast = knapsack_vmax(inst, 0, pool, b)
+                value, witness = knapsack_by_enumeration(inst, 0, pool, b)
+                assert fast.value == value
+                assert fast.witness == witness
 
-
-class TestMonopolyValue:
-    def test_t1_agent1_reaches_one(self, t1):
-        assert monopoly_value(t1, 0, 1) == 1
+    def test_t1_agent1_reaches_one_from_all_goods(self, t1):
+        assert knapsack_vmax(t1, 0, t1.all_goods(), 1).value == 1
 
     def test_zero_budget_sees_only_free_goods(self):
         inst = build([0, 3], [0], [[4, 9]])
-        assert monopoly_value(inst, 0, 0) == 4
+        assert knapsack_vmax(inst, 0, inst.all_goods(), 0).value == 4
 
-    def test_equals_exhaustive_maximum(self):
+    def test_all_goods_equals_exhaustive_maximum(self):
         rng = random.Random(7)
         for _ in range(25):
             inst = random_instance(rng, 1, rng.randint(1, 8))
@@ -131,7 +139,20 @@ class TestMonopolyValue:
             value, _ = knapsack_by_enumeration(
                 inst, 0, inst.all_goods(), budget
             )
-            assert monopoly_value(inst, 0, budget) == value
+            assert knapsack_vmax(inst, 0, inst.all_goods(), budget).value == value
+
+    def test_a_hundred_random_rational_goods_at_half_budget(self):
+        # Subset search over 100 goods does not finish; the frontiers of
+        # random goods stay small (Beier and Voecking, 2003).
+        rng = random.Random(100)
+        costs = [F(rng.randint(1, 100), rng.randint(1, 9)) for _ in range(100)]
+        values = [F(rng.randint(1, 100), rng.randint(1, 9)) for _ in range(100)]
+        budget = sum(costs) / 2
+        inst = build(costs, [budget], [values])
+        answer = knapsack_vmax(inst, 0, inst.all_goods(), budget)
+        assert bundle_cost(inst, answer.witness) <= budget
+        assert bundle_value(inst, 0, answer.witness) == answer.value
+        assert answer.value > sum(values) / 2
 
 
 class TestEnvy:
@@ -155,17 +176,13 @@ class TestEnvy:
         assert not efx_envies(t1, 0, 0, {2})
 
     @pytest.mark.parametrize(
-        "budget, target, frontier_entries",
-        [(2, {0, 1}, None), (1, {0, 1, 2}, None), (1, {0, 1, 2}, 0)],
-        ids=["sums", "frontiers", "per-drop"],
+        "budget, target",
+        [(2, {0, 1}), (1, {0, 1, 2})],
+        ids=["sums", "frontiers"],
     )
-    def test_an_own_value_between_two_integer_answers(
-        self, monkeypatch, budget, target, frontier_entries
-    ):
-        # On every path the best value after a drop is 3, in units of 1, and
+    def test_an_own_value_between_two_integer_answers(self, budget, target):
+        # On both paths the best value after a drop is 3, in units of 1, and
         # an own value of 5/2 falls between two units: 3 beats it, not 3.
-        if frontier_entries is not None:
-            monkeypatch.setattr(model, "_FRONTIER_ENTRIES", frontier_entries)
         inst = build([1, 1, 1], [budget], [[3, 3, 3]])
         assert efx_envies(inst, F(5, 2), 0, target)
         assert not efx_envies(inst, 3, 0, target)
@@ -353,9 +370,57 @@ def certificates(inst, allocation):
     )
 
 
+def literal_violation(inst, allocation):
+    """The first EFx violation, by agent, target and removed good, each
+    ascending, from subset enumeration after each drop."""
+    for i in range(inst.num_agents):
+        own = value_of(inst, i, allocation.bundles[i])
+        for j in range(inst.num_agents):
+            if i == j:
+                continue
+            target = allocation.bundles[j]
+            for g in sorted(target):
+                value, witness = knapsack_by_enumeration(
+                    inst, i, target - {g}, inst.budgets[i]
+                )
+                if value > own:
+                    return EfxViolation(i, j, tuple(sorted(witness | {g})), g)
+    return None
+
+
+def literal_envy_free(inst, allocation):
+    return not any(
+        knapsack_by_enumeration(inst, i, allocation.bundles[j], inst.budgets[i])[0]
+        > value_of(inst, i, allocation.bundles[i])
+        for i in range(inst.num_agents)
+        for j in range(inst.num_agents)
+        if i != j
+    )
+
+
+def literal_graph(inst, allocation):
+    """The feasibility graph: an agent's edge to a bundle when its best
+    affordable value there is at least its best value after any drop."""
+    agents, bundles = tuple(range(inst.num_agents)), allocation.bundles
+    edges, rows = set(), []
+    for agent in agents:
+        budget = inst.budgets[agent]
+        row = tuple(knapsack_by_enumeration(inst, agent, b, budget)[0] for b in bundles)
+        threshold = max(
+            (
+                knapsack_by_enumeration(inst, agent, b - {g}, budget)[0]
+                for b in bundles
+                for g in b
+            ),
+            default=F(0),
+        )
+        edges |= {(agent, j) for j, value in enumerate(row) if value >= threshold}
+        rows.append(row)
+    return FeasibilityGraph(agents, bundles, frozenset(edges), tuple(rows))
+
+
 class TestLeaveOneOutEngine:
-    """The frontier engine and the per-drop knapsack searches it falls back
-    to on large pools must give identical certificates."""
+    """The frontier engine gives the certificates of the unpruned oracles."""
 
     @staticmethod
     def cases():
@@ -367,11 +432,39 @@ class TestLeaveOneOutEngine:
         ]
         return cases + [tight_pool(random.Random(seed)) for seed in (1, 2)]
 
-    def test_frontiers_match_per_drop_searches(self, monkeypatch):
+    def test_certificates_match_the_literal_oracles(self):
         cases = self.cases()
-        from_frontiers = [certificates(*case) for case in cases]
-        monkeypatch.setattr(model, "_FRONTIER_ENTRIES", 0)
-        assert [certificates(*case) for case in cases] == from_frontiers
+        for inst, allocation in cases[:-2]:
+            violation, ef1, envy_free, graph = certificates(inst, allocation)
+            assert violation == literal_violation(inst, allocation)
+            assert (violation is None) == all(
+                not literal_efx_envies(
+                    inst, value_of(inst, i, allocation.bundles[i]), i, target
+                )
+                for i in range(inst.num_agents)
+                for j, target in enumerate(allocation.bundles)
+                if i != j
+            )
+            assert ef1 == literal_drop_least_holds(inst, allocation)
+            assert envy_free == literal_envy_free(inst, allocation)
+            assert graph == literal_graph(inst, allocation)
+        # On a 16-good bundle the literal EF1 and EFx forms and the graph
+        # take seconds; the violation needs one enumeration per drop up to
+        # the first violator, and envy one per bundle.
+        for inst, allocation in cases[-2:]:
+            violation, _, envy_free, _ = certificates(inst, allocation)
+            assert violation == literal_violation(inst, allocation)
+            assert envy_free == literal_envy_free(inst, allocation)
+
+    def test_an_engine_is_freed_by_reference_counting(self):
+        # Its frontiers can be large; a reference cycle would keep them
+        # until the cyclic garbage collector runs.
+        inst = build([1, 1, 1], [1], [[3, 3, 3]])
+        engine = model._LeaveOneOut(inst, 0, frozenset({0, 1, 2}))
+        assert [best for _, best in engine.without(False)] == [3, 3, 3]
+        freed = weakref.ref(engine)
+        del engine
+        assert freed() is None
 
     def test_the_cases_reach_every_branch(self):
         cases = self.cases()

@@ -11,8 +11,8 @@ from budgeted_efx.model import (
     bundle_value,
     is_ef1,
     is_efx,
+    knapsack_vmax,
     make_allocation,
-    monopoly_value,
     normalize,
     nsw_product,
 )
@@ -48,9 +48,8 @@ class TestMaxNswAllocation:
         for _ in range(15):
             inst = random_instance(rng, 1, rng.randint(1, 7))
             opt = max_nsw_allocation(inst, (0,), inst.all_goods())
-            assert bundle_value(inst, 0, opt.bundles[0]) == monopoly_value(
-                inst, 0, inst.budgets[0]
-            )
+            monopoly = knapsack_vmax(inst, 0, inst.all_goods(), inst.budgets[0])
+            assert bundle_value(inst, 0, opt.bundles[0]) == monopoly.value
 
     def test_pruned_search_matches_plain_enumeration(self):
         rng = random.Random(13)
@@ -353,8 +352,6 @@ class TestLeximinSplit:
     def test_equal_halves_split_one_each(self, t1):
         # the two 1/2-cost goods of the fixture, valued 1/2 each by agent 0
         def u(part):
-            from budgeted_efx.model import knapsack_vmax
-
             return knapsack_vmax(t1, 0, part, t1.budgets[0]).value
 
         split = leximin_pp_split({0, 1}, u)
@@ -375,7 +372,6 @@ class TestLeximinSplit:
         rng = random.Random(23)
         for _ in range(40):
             inst = random_instance(rng, 1, rng.randint(0, 6))
-            from budgeted_efx.model import knapsack_vmax
 
             def u(part):
                 return knapsack_vmax(inst, 0, part, inst.budgets[0]).value

@@ -116,14 +116,16 @@ def test_achievable_value_monotone_in_pool_and_budget(data, agent_pick, extra):
 
 
 @settings(deadline=None)
-@given(instance_with_pool(), st.integers(0, 2))
-def test_knapsack_agrees_with_subset_enumeration(data, agent_pick):
+@given(instance_with_pool(), st.integers(0, 2), rationals)
+def test_knapsack_agrees_with_subset_enumeration(data, agent_pick, free_budget):
+    """At the agent's budget, and at a budget drawn apart from the instance,
+    whose denominator need not divide the instance's cost scale."""
     inst, pool = data
     agent = agent_pick % inst.num_agents
-    budget = inst.budgets[agent]
-    fast = knapsack_vmax(inst, agent, pool, budget)
-    value, witness = knapsack_by_enumeration(inst, agent, pool, budget)
-    assert fast.value == value and fast.witness == witness
+    for budget in (inst.budgets[agent], free_budget):
+        fast = knapsack_vmax(inst, agent, pool, budget)
+        value, witness = knapsack_by_enumeration(inst, agent, pool, budget)
+        assert fast.value == value and fast.witness == witness
 
 
 @settings(deadline=None)
