@@ -74,6 +74,17 @@ def rational_from_json(x: Any, where: str = "") -> Fraction:
     raise ParseError(f"{prefix}expected an integer or 'p/q' string, got {x!r}")
 
 
+def _rational_at(x: Any, where: str, *index: int) -> Fraction:
+    # rational_from_json(x, where % index), formatting the location only
+    # when x is not a number.
+    if type(x) is int:
+        return Fraction(x)
+    try:
+        return rational_from_json(x)
+    except ParseError as exc:
+        raise ParseError(f"{where % index}: {exc}") from exc
+
+
 def rational_to_json(x: Fraction) -> int | str:
     if x.denominator == 1:
         return int(x)
@@ -108,46 +119,44 @@ def parse_instance(source: str | Path | dict) -> Instance:
     costs: list[Fraction] = []
     seen_goods: set[int] = set()
     for pos, entry in enumerate(goods):
-        where = f"goods[{pos}]"
         if not isinstance(entry, dict) or "id" not in entry or "cost" not in entry:
-            raise ParseError(f"{where}: expected an object with 'id' and 'cost'")
+            raise ParseError(f"goods[{pos}]: expected an object with 'id' and 'cost'")
         gid = entry["id"]
         if isinstance(gid, bool) or not isinstance(gid, int):
-            raise ParseError(f"{where}: good id must be an integer, got {gid!r}")
+            raise ParseError(f"goods[{pos}]: good id must be an integer, got {gid!r}")
         if gid in seen_goods:
-            raise ParseError(f"{where}: duplicate good id {gid}")
+            raise ParseError(f"goods[{pos}]: duplicate good id {gid}")
         if gid != pos:
-            raise ParseError(f"{where}: good ids must be dense and ordered, got {gid}")
+            raise ParseError(f"goods[{pos}]: good ids must be dense and ordered, got {gid}")
         seen_goods.add(gid)
-        costs.append(rational_from_json(entry["cost"], f"{where}.cost"))
+        costs.append(_rational_at(entry["cost"], "goods[%d].cost", pos))
 
     budgets: list[Fraction] = []
     values: list[tuple[Fraction, ...]] = []
     seen_agents: set[int] = set()
     for pos, entry in enumerate(agents):
-        where = f"agents[{pos}]"
         if not isinstance(entry, dict) or not {"id", "budget", "values"} <= entry.keys():
             raise ParseError(
-                f"{where}: expected an object with 'id', 'budget' and 'values'"
+                f"agents[{pos}]: expected an object with 'id', 'budget' and 'values'"
             )
         aid = entry["id"]
         if isinstance(aid, bool) or not isinstance(aid, int):
-            raise ParseError(f"{where}: agent id must be an integer, got {aid!r}")
+            raise ParseError(f"agents[{pos}]: agent id must be an integer, got {aid!r}")
         if aid in seen_agents:
-            raise ParseError(f"{where}: duplicate agent id {aid}")
+            raise ParseError(f"agents[{pos}]: duplicate agent id {aid}")
         if aid != pos:
-            raise ParseError(f"{where}: agent ids must be dense and ordered, got {aid}")
+            raise ParseError(f"agents[{pos}]: agent ids must be dense and ordered, got {aid}")
         seen_agents.add(aid)
-        budgets.append(rational_from_json(entry["budget"], f"{where}.budget"))
+        budgets.append(_rational_at(entry["budget"], "agents[%d].budget", pos))
         row = entry["values"]
         if not isinstance(row, list) or len(row) != len(costs):
             raise ParseError(
-                f"{where}.values: expected {len(costs)} entries, got "
+                f"agents[{pos}].values: expected {len(costs)} entries, got "
                 f"{len(row) if isinstance(row, list) else row!r}"
             )
         values.append(
             tuple(
-                rational_from_json(v, f"{where}.values[{k}]") for k, v in enumerate(row)
+                [_rational_at(v, "agents[%d].values[%d]", pos, k) for k, v in enumerate(row)]
             )
         )
     try:

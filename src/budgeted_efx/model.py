@@ -5,12 +5,14 @@ efficiency predicates. All arithmetic is exact. Numbers enter as
 :class:`fractions.Fraction`, and each :class:`Instance` converts its own
 numbers once, when it is built, into an integer form: costs and budgets over
 one common denominator, and each agent's values over that agent's own. The
-bundle sums, the one knapsack kernel (suffix Pareto frontiers, read by
-``knapsack_vmax`` and by the leave-one-out engine ``_LeaveOneOut`` behind the
-envy, EFx and EF1 predicates and the feasibility graph), and the searches in
-``oracles`` read that form; results leave as Fractions. Floating point is
-rejected at the boundary because every predicate in this package compares
-exact sums.
+bundle sums, the knapsack kernels and the searches in ``oracles`` read that
+form; results leave as Fractions. The knapsack kernels are the suffix Pareto
+frontiers read by ``knapsack_vmax`` and by the leave-one-out engine
+``_LeaveOneOut``, and one bounded decision, ``_beats``, that answers whether
+an agent envies a bundle. The envy, EFx and EF1 predicates ask ``_beats``
+first and build an engine only for an agent that envies; the feasibility
+graph builds one for every bundle. Floating point is rejected at the
+boundary because every predicate in this package compares exact sums.
 """
 
 from __future__ import annotations
@@ -81,10 +83,12 @@ class SearchCapExceededError(FairDivisionError):
 
 def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """``xs`` times the LCM of their denominators, as ints, and that LCM."""
-    lcm = math.lcm(*[x.denominator for x in xs])
+    # One as_integer_ratio() call per number, not two property reads.
+    pairs = [x.as_integer_ratio() for x in xs]
+    lcm = math.lcm(*[q for _, q in pairs])
     if lcm == 1:
-        return tuple([x.numerator for x in xs]), 1
-    return tuple([x.numerator * (lcm // x.denominator) for x in xs]), lcm
+        return tuple([p for p, _ in pairs]), 1
+    return tuple([p * (lcm // q) for p, q in pairs]), lcm
 
 
 def to_rational(x: RationalLike) -> Fraction:
@@ -262,9 +266,14 @@ def bundle_cost(instance: Instance, bundle: Iterable[int]) -> Fraction:
 
 def bundle_value(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     instance.check_agent(agent)
+    return Fraction(_int_value(instance, agent, bundle), instance._value_scales[agent])
+
+
+def _int_value(instance: Instance, agent: int, bundle: Iterable[int]) -> int:
+    # The agent's value of the bundle in her units: the instance's integer
+    # form of her values.
     row = instance._int_values[agent]
-    total = sum([row[g] for g in instance.check_bundle(bundle)])
-    return Fraction(total, instance._value_scales[agent])
+    return sum([row[g] for g in instance.check_bundle(bundle)])
 
 
 def knapsack_vmax(
@@ -390,30 +399,95 @@ def _best_of_two(left: list, right: list, cap: int) -> int:
     return best
 
 
+def _beats(costs: list, vals: list, cap: int, own: int, agent: int) -> bool:
+    """Whether some subset of the goods, at cost at most ``cap``, is worth
+    more than ``own``.
+
+    One Pareto frontier of (cost, value) over the goods in decreasing value
+    density, cut at ``cap`` like :func:`_suffix_frontiers`, with each entry
+    dropped once the fractional-knapsack bound (Dantzig, 1957) of the goods
+    still to come cannot lift it above ``own``: its value, plus the whole
+    goods that fit in its room, plus floor(room * v / c) of the good that
+    does not. The answer is True at the first entry whose whole goods
+    already beat ``own``, and False once no entry is left. Zero-cost goods
+    are always taken and zero-value goods never help. Densities are
+    ordered exactly: with C the largest cost, two different densities v/c
+    differ by at least 1/C^2, so their keys floor(v * C^2 / c) differ.
+
+    Raises :class:`SearchCapExceededError` once the frontiers have held more
+    than ``_FRONTIER_ENTRIES`` entries.
+    """
+    if sum(costs) <= cap:
+        return sum(vals) > own
+    items = []
+    for c, v in zip(costs, vals):
+        if v == 0 or c > cap:
+            continue
+        if c == 0:
+            own -= v
+        else:
+            items.append((c, v))
+    if own < 0:
+        return True
+    if not items:
+        return False
+    square = max(c for c, _ in items) ** 2
+    items.sort(key=lambda cv: cv[1] * square // cv[0], reverse=True)
+    # Prefix sums of cost and value in density order.
+    pc, pv = [0], [0]
+    for c, v in items:
+        pc.append(pc[-1] + c)
+        pv.append(pv[-1] + v)
+    n = len(items)
+    front, held = [(0, 0)], 1
+    for k, (ck, vk) in enumerate(items):
+        kept = []
+        for c, v in front:
+            # Goods k .. j - 1 fit whole in the room cap - c; good j does not.
+            reach = cap - c + pc[k]
+            j = bisect_right(pc, reach, k) - 1
+            whole = v + pv[j] - pv[k]
+            if whole > own:
+                return True
+            if j < n and whole + (reach - pc[j]) * items[j][1] // items[j][0] > own:
+                kept.append((c, v))
+        if not kept:
+            return False
+        held += len(kept)
+        if held > _FRONTIER_ENTRIES:
+            raise SearchCapExceededError(
+                f"knapsack frontiers of agent {agent} over {len(costs)} goods "
+                f"reached {held} entries, past the cap of {_FRONTIER_ENTRIES}"
+            )
+        front = _with_good(kept, ck, vk, cap)
+    # Each entry of the last merge is a kept entry with or without the last
+    # good, and the loop compared both with ``own`` as whole goods.
+    return False
+
+
 class _LeaveOneOut:
     """Knapsack answers for one agent over one bundle T: the best value of an
     affordable subset of T, and for each good h of T the best value of an
     affordable subset of T - h.
 
     Answers are ints in the agent's units, the instance's integer form of
-    its values; ``own``, the value they are compared with, is kept as the
-    floor of ``own`` times the agent's scale, which no int answer beats
-    unless it beats ``own``. When T is affordable whole the answers are sums.
+    its values, and so is ``own``, the value the EFx and EF1 answers are
+    compared with. When T is affordable whole the answers are sums.
     Otherwise they are read off the suffix frontiers of T
     (:func:`_suffix_frontiers`) and a running prefix frontier; the best
-    value of T - h merges the frontiers on either side of h.
+    value of T - h merges the frontiers on either side of h. The predicates
+    build an engine only for an agent that envies T, which :func:`_beats`
+    decides first.
     """
 
-    def __init__(
-        self, instance: Instance, agent: int, target: Bundle, own: Fraction = ZERO
-    ) -> None:
+    def __init__(self, instance: Instance, agent: int, target: Bundle, own: int = 0) -> None:
         self.goods = goods = sorted(target)
         int_costs = instance._int_costs
         costs = [int_costs[g] for g in goods]
         row = instance._int_values[agent]
         vals = [row[g] for g in goods]
-        self.scale = scale = instance._value_scales[agent]
-        self.own = own.numerator * scale // own.denominator
+        self.scale = instance._value_scales[agent]
+        self.own = own
         cap = instance._int_budgets[agent]
         if sum(costs) <= cap:
             self.best = sum(vals)
@@ -448,14 +522,9 @@ class _LeaveOneOut:
     def fraction(self, amount: int) -> Fraction:
         return Fraction(amount, self.scale)
 
-    def envies(self) -> bool:
-        return self.best > self.own
-
     def _violators(self, ef1: bool) -> Iterator[int]:
         # Goods h, ascending, whose removal still leaves more than ``own``:
         # at budget B (EFx), or with h kept, at budget B - c(h) (EF1).
-        if not self.envies():
-            return iter(())
         return (g for g, best in self.without(ef1) if best > self.own)
 
     def efx_drop(self) -> int | None:
@@ -474,12 +543,34 @@ class _LeaveOneOut:
         return next(self._violators(True), None) is not None
 
 
+def _envious(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
+    # Whether the agent affords a subset of ``target`` worth more than
+    # ``own``, in her units. EFx and EF1 envy imply it.
+    costs = instance._int_costs
+    row = instance._int_values[agent]
+    return _beats(
+        [costs[g] for g in target],
+        [row[g] for g in target],
+        instance._int_budgets[agent],
+        own,
+        agent,
+    )
+
+
+def _own_values(instance: Instance, allocation: Allocation) -> list[int]:
+    # Each agent's value of her own bundle, in her units. Every bundle's ids
+    # are checked here, before any of them is read as a target.
+    bundles = allocation.bundles
+    return [_int_value(instance, i, bundles[i]) for i in range(instance.num_agents)]
+
+
 def envies(
     instance: Instance, allocation: Allocation, agent: int, target: Iterable[int]
 ) -> bool:
     """Budget-aware envy: some affordable subset of ``target`` beats the own bundle."""
-    own = bundle_value(instance, agent, allocation.bundles[agent])
-    return _LeaveOneOut(instance, agent, instance.check_bundle(target), own).envies()
+    instance.check_agent(agent)
+    own = _int_value(instance, agent, allocation.bundles[agent])
+    return _envious(instance, agent, instance.check_bundle(target), own)
 
 
 def efx_envies(
@@ -495,7 +586,12 @@ def efx_envies(
     instance.check_agent(agent)
     own_value = to_rational(own_value)
     target = instance.check_bundle(target)
-    return _LeaveOneOut(instance, agent, target, own_value).efx_drop() is not None
+    # No int answer beats the floor of own_value in her units unless it
+    # beats own_value.
+    own = own_value.numerator * instance._value_scales[agent] // own_value.denominator
+    if not _envious(instance, agent, target, own):
+        return False
+    return _LeaveOneOut(instance, agent, target, own).efx_drop() is not None
 
 
 @dataclass(frozen=True)
@@ -516,12 +612,11 @@ class EfxViolation:
 def efx_violation(instance: Instance, allocation: Allocation) -> EfxViolation | None:
     """First EFx violation, scanning agents, then targets, then removed goods
     in ascending id order; None when the allocation is EFx."""
-    for i in range(instance.num_agents):
-        own = bundle_value(instance, i, allocation.bundles[i])
+    for i, own in enumerate(_own_values(instance, allocation)):
         for j in range(instance.num_agents):
-            if i == j:
-                continue
             target = allocation.bundles[j]
+            if i == j or not _envious(instance, i, target, own):
+                continue
             g = _LeaveOneOut(instance, i, target, own).efx_drop()
             if g is not None:
                 answer = knapsack_vmax(instance, i, target - {g}, instance.budgets[i])
@@ -538,20 +633,20 @@ def is_ef1(instance: Instance, allocation: Allocation) -> bool:
     """Envy-freeness up to one good, measured against budget-feasible
     sub-bundles: no affordable nonempty subset of another bundle, without its
     least valued good, is worth more than the own bundle."""
-    for i in range(instance.num_agents):
-        own = bundle_value(instance, i, allocation.bundles[i])
+    for i, own in enumerate(_own_values(instance, allocation)):
         for j in range(instance.num_agents):
-            if i == j:
+            target = allocation.bundles[j]
+            if i == j or not _envious(instance, i, target, own):
                 continue
-            if _LeaveOneOut(instance, i, allocation.bundles[j], own).ef1_envies():
+            if _LeaveOneOut(instance, i, target, own).ef1_envies():
                 return False
     return True
 
 
 def is_envy_free(instance: Instance, allocation: Allocation) -> bool:
-    for i in range(instance.num_agents):
+    for i, own in enumerate(_own_values(instance, allocation)):
         for j in range(instance.num_agents):
-            if i != j and envies(instance, allocation, i, allocation.bundles[j]):
+            if i != j and _envious(instance, i, allocation.bundles[j], own):
                 return False
     return True
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -320,6 +321,67 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @staticmethod
+    def tight_holder(tmp_path, costs, values):
+        """Paths of an instance where agent 1 holds goods with ``costs`` and
+        agent 0 holds one more good, worth to her exactly her best
+        affordable value of agent 1's bundle at half its cost; agent 1
+        values only the goods it holds. The best value is a dynamic program over
+        integer budgets."""
+        m = len(costs)
+        budget = sum(costs) // 2
+        best = [0] * (budget + 1)
+        for c, v in zip(costs, values):
+            best[c:] = [a if a >= b + v else b + v for a, b in zip(best[c:], best)]
+        instance = tmp_path / "inst.json"
+        instance.write_text(
+            json.dumps(
+                {
+                    "goods": [{"id": g, "cost": c} for g, c in enumerate([*costs, 1])],
+                    "agents": [
+                        {"id": 0, "budget": budget, "values": [*values, best[budget]]},
+                        {"id": 1, "budget": sum(costs), "values": [1] * m + [0]},
+                    ],
+                }
+            )
+        )
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"bundles": [[m], list(range(m))]}))
+        return str(instance), str(alloc)
+
+    def test_the_envy_decision_past_the_cap_exit_3(self, capsys, tmp_path, monkeypatch):
+        # Agent 0 does not envy. Proving it holds 16 entries of the pruned
+        # frontier in all, one or two after each good; under a cap of 12
+        # the count passes it at 14.
+        costs = [8, 8, 5, 7, 9, 8, 8, 7, 8, 7]
+        values = [10, 8, 7, 7, 10, 8, 8, 9, 9, 9]
+        paths = self.tight_holder(tmp_path, costs, values)
+        code, out, _ = run(capsys, "verify", *paths)
+        assert code == 0
+        assert report_of(out)["envy_free"] is True
+        monkeypatch.setattr(model, "_FRONTIER_ENTRIES", 12)
+        code, out, err = run(capsys, "verify", *paths)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: knapsack frontiers of agent 0 over 10 goods reached 14 entries, "
+            "past the cap of 12\n"
+        )
+
+    def test_a_tight_511_good_bundle_verifies(self, capsys, tmp_path):
+        # Strongly correlated goods: every subset's value is close to its
+        # cost, so the suffix frontiers of the whole bundle hold more than
+        # the frontier cap; the bounded decision proves in a few ms that
+        # agent 0 does not envy.
+        rng = random.Random(0)
+        costs = [rng.randint(50, 60) for _ in range(MAX_GOODS - 1)]
+        values = [c + rng.randint(0, 5) for c in costs]
+        code, out, _ = run(capsys, "verify", *self.tight_holder(tmp_path, costs, values))
+        assert code == 0
+        report = report_of(out)
+        assert report["envy_free"] is True and report["ef1"] is True
+        assert report["efx"] == {"pass": True, "witness": None}
 
     def test_an_instance_at_the_limit_verifies(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", *self.one_holder(tmp_path, MAX_GOODS))

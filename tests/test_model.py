@@ -215,6 +215,13 @@ class TestFairnessPredicates:
         assert not is_ef1(t1, opt)
         assert not is_efx(t1, opt)
 
+    @pytest.mark.parametrize("predicate", [is_envy_free, is_efx, is_ef1])
+    def test_an_unknown_good_in_a_later_bundle_is_a_structural_error(self, t1, predicate):
+        # Agent 0's targets are read before agent 1's own bundle would be.
+        alloc = Allocation((frozenset({0}), frozenset({5})), frozenset({0, 5}))
+        with pytest.raises(StructuralError, match="unknown good id 5"):
+            predicate(t1, alloc)
+
 
 class TestWelfareProduct:
     def test_t1_optimum_product_is_one(self, t1):

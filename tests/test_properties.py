@@ -1,10 +1,12 @@
 """Property tests for the invariants the solvers rely on."""
 
+import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from budgeted_efx import model
 from budgeted_efx.model import (
     Allocation,
     bundle_cost,
@@ -164,6 +166,45 @@ def test_efx_envy_two_step_form_matches_the_literal_form(data, own):
     assert efx_envies(inst, own, 0, target) == literal_efx_envies(
         inst, own, 0, target
     )
+
+
+@st.composite
+def knapsack_pools(draw):
+    """Costs, values and a budget of 0-12 goods. Zero costs and zero values
+    are likely, some goods share one value density, every number may be a
+    fraction, and the budget is a share of the total cost."""
+    numbers = st.one_of(rationals, st.just(F(0)))
+    density = draw(st.fractions(min_value=0, max_value=3, max_denominator=3))
+    costs = [draw(numbers) for _ in range(draw(st.integers(0, 12)))]
+    values = [c * density if draw(st.booleans()) else draw(numbers) for c in costs]
+    share = draw(st.fractions(min_value=0, max_value=1, max_denominator=10))
+    return costs, values, sum(costs) * share
+
+
+# The densities of these two goods, 1 - 1/(10^17 - 1) and 1, round to one
+# float; the fractional-knapsack bound holds only in the exact order.
+@example(([10**17 - 1, 10**17], [10**17 - 2, 10**17], 10**17), F(0))
+@settings(deadline=None)
+@given(knapsack_pools(), rationals)
+def test_the_envy_decision_matches_subset_enumeration(pool, extra):
+    costs, values, budget = pool
+    inst = build(costs, [budget], [values])
+    goods = inst.all_goods()
+    best, _ = knapsack_by_enumeration(inst, 0, goods, budget)
+    drops = [knapsack_by_enumeration(inst, 0, goods - {g}, budget)[0] for g in goods]
+    int_costs, int_values = list(inst._int_costs), list(inst._int_values[0])
+    # One unit of the agent's integer form on either side of the optimum.
+    unit = F(1, inst._value_scales[0])
+    for own in (best - unit, best, best + unit, extra):
+        scaled = math.floor(own / unit)
+        beats = model._beats(int_costs, int_values, inst._int_budgets[0], scaled, 0)
+        assert beats == (best > own)
+        assert efx_envies(inst, own, 0, goods) == any(d > own for d in drops)
+        if own >= 0:
+            # Agent 0 holds one more good, free and worth ``own``.
+            holder = build([*costs, 0], [budget], [[*values, own]])
+            allocation = Allocation((frozenset({len(costs)}),), holder.all_goods())
+            assert envies(holder, allocation, 0, goods) == (best > own)
 
 
 @settings(deadline=None)
