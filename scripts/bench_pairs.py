@@ -11,9 +11,12 @@ side's runs, median and quartiles (``statistics.quantiles(n=4)``), the pairs
 the change won (ties count for neither), the parent's quartile spread,
 whether the change's median beats the parent's by more than that spread,
 and whether it is no worse than the parent's by more than the metric's
-bound. It also records whether the digests over every operation agree in
-each pair. The result goes under ``workloads.W`` of the output file; the
-file's other keys are kept, so one file can collect several workloads.
+bound. It also writes each pair's change/parent ratio and the median of
+those ratios: drift of the host moves both runs of a pair together, so the
+ratios scatter less than either side's runs. It records whether the
+digests over every operation agree in each pair. The result goes under
+``workloads.W`` of the output file; the file's other keys are kept, so one
+file can collect several workloads.
 
 Standard library only; each run is a fresh process in its checkout.
 """
@@ -60,6 +63,7 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         return a < b if lower else a > b
 
     p, c = summary(parent), summary(change)
+    ratios = [b / a for a, b in zip(parent, change)]
     spread = p["q3"] - p["q1"]
     bound = metric["bound"]
     limit = p["median"] * (1 + bound if lower else 1 - bound)
@@ -70,6 +74,8 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "parent": p,
         "change": c,
         "change_wins": sum(better(b, a) for a, b in zip(parent, change)),
+        "pair_ratios": ratios,
+        "median_pair_ratio": statistics.median(ratios),
         "pairs": len(parent),
         "parent_quartile_spread": spread,
         "gain_beyond_spread": better(c["median"], p["median"])

@@ -3,12 +3,18 @@
 The wire format keeps every number exact: integers stay JSON integers and
 non-integers become "p/q" strings. Serialization is canonical (lowest terms,
 sorted keys), so parse-then-serialize is a byte-stable round trip.
+
+Integers go straight into an instance's integer form: the JSON integers the
+parser reads and every number the generator draws. ``instance_to_json``
+writes its digits from that form, so neither direction builds a Fraction
+for an integer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -74,11 +80,11 @@ def rational_from_json(x: Any, where: str = "") -> Fraction:
     raise ParseError(f"{prefix}expected an integer or 'p/q' string, got {x!r}")
 
 
-def _rational_at(x: Any, where: str, *index: int) -> Fraction:
+def _rational_at(x: Any, where: str, *index: int) -> int | Fraction:
     # rational_from_json(x, where % index), formatting the location only
-    # when x is not a number.
+    # when x is not a number; a JSON integer stays an int.
     if type(x) is int:
-        return Fraction(x)
+        return x
     try:
         return rational_from_json(x)
     except ParseError as exc:
@@ -116,7 +122,7 @@ def parse_instance(source: str | Path | dict) -> Instance:
     if not isinstance(goods, list) or not isinstance(agents, list):
         raise ParseError("'goods' and 'agents' must be arrays")
 
-    costs: list[Fraction] = []
+    costs: list[int | Fraction] = []
     seen_goods: set[int] = set()
     for pos, entry in enumerate(goods):
         if not isinstance(entry, dict) or "id" not in entry or "cost" not in entry:
@@ -131,8 +137,8 @@ def parse_instance(source: str | Path | dict) -> Instance:
         seen_goods.add(gid)
         costs.append(_rational_at(entry["cost"], "goods[%d].cost", pos))
 
-    budgets: list[Fraction] = []
-    values: list[tuple[Fraction, ...]] = []
+    budgets: list[int | Fraction] = []
+    values: list[tuple[int | Fraction, ...]] = []
     seen_agents: set[int] = set()
     for pos, entry in enumerate(agents):
         if not isinstance(entry, dict) or not {"id", "budget", "values"} <= entry.keys():
@@ -182,11 +188,15 @@ def serialize_instance(instance: Instance) -> dict:
     }
 
 
-def _number_text(x: Fraction) -> str:
-    # rational_to_json(x) as JSON text.
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f'"{x.numerator}/{x.denominator}"'
+def _numbers_text(ints: tuple[int, ...], scale: int) -> list[str]:
+    # rational_to_json(x / scale) as JSON text, for each x of ints.
+    if scale == 1:
+        return [str(x) for x in ints]
+    out = []
+    for x in ints:
+        d = math.gcd(x, scale)
+        out.append(str(x // d) if d == scale else f'"{x // d}/{scale // d}"')
+    return out
 
 
 def _array_text(items: list[str], indent: str) -> str:
@@ -203,19 +213,21 @@ def instance_to_json(instance: Instance) -> str:
     ``json.dumps(serialize_instance(instance), indent=2, sort_keys=True)``
     plus a newline, the text ``instance_sha256`` hashes.
 
-    The document's shape is fixed, so it is written directly: integers as
-    digits, other numbers as "p/q" strings in lowest terms, keys in sorted
-    order, and ``[]`` for an empty array. ``json.dumps`` with an indent
-    would run the pure-Python encoder instead of the C one.
+    The document's shape is fixed, so it is written directly from the
+    instance's integer form: integers as digits, other numbers as "p/q"
+    strings in lowest terms, keys in sorted order, and ``[]`` for an empty
+    array. ``json.dumps`` with an indent would run the pure-Python encoder
+    instead of the C one.
     """
+    budgets = _numbers_text(instance._int_budgets, instance._cost_scale)
     agents = [
         '{\n      "budget": %s,\n      "id": %d,\n      "values": %s\n    }'
-        % (_number_text(b), i, _array_text([_number_text(v) for v in row], "      "))
-        for i, (b, row) in enumerate(zip(instance.budgets, instance.values))
+        % (budgets[i], i, _array_text(_numbers_text(row, scale), "      "))
+        for i, (row, scale) in enumerate(zip(instance._int_values, instance._value_scales))
     ]
     goods = [
-        '{\n      "cost": %s,\n      "id": %d\n    }' % (_number_text(c), g)
-        for g, c in enumerate(instance.costs)
+        '{\n      "cost": %s,\n      "id": %d\n    }' % (text, g)
+        for g, text in enumerate(_numbers_text(instance._int_costs, instance._cost_scale))
     ]
     return '{\n  "agents": %s,\n  "goods": %s\n}\n' % (
         _array_text(agents, "  "),
@@ -327,7 +339,8 @@ def gen_instances(
 ) -> list[Instance]:
     """Deterministic batch of solvable random instances.
 
-    Integer costs and values are uniform over their ranges. Budgets are
+    Integer costs and values are uniform over their ranges, and go into
+    each instance's integer form as they are. Budgets are
     uniform over [base, base * budget_spread] for a base drawn once per
     instance, so the largest-to-smallest budget ratio stays within
     ``budget_spread`` (spread 1 means equal budgets). Instances where some

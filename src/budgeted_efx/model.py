@@ -1,26 +1,31 @@
 """Exact domain model for budget-constrained fair division.
 
 Instances, bundles, allocations, and the budget-aware fairness and
-efficiency predicates. All arithmetic is exact. Numbers enter as
-:class:`fractions.Fraction`, and each :class:`Instance` converts its own
-numbers once, when it is built, into an integer form: costs and budgets over
-one common denominator, and each agent's values over that agent's own. The
-bundle sums, the knapsack kernels and the searches in ``oracles`` read that
-form; results leave as Fractions. The knapsack kernels are the suffix Pareto
-frontiers read by ``knapsack_vmax`` and by the leave-one-out engine
-``_LeaveOneOut``, and one bounded decision, ``_beats``, that answers whether
-an agent envies a bundle. The envy, EFx and EF1 predicates ask ``_beats``
-first and build an engine only for an agent that envies; the feasibility
-graph builds one for every bundle. Floating point is rejected at the
-boundary because every predicate in this package compares exact sums.
+efficiency predicates. All arithmetic is exact. An :class:`Instance` is its
+integer form: costs and budgets over one common denominator, and each
+agent's values over that agent's own. Ints go into that form as they are;
+Fractions and "p/q" strings are converted once, when the instance is built.
+Its public ``costs``, ``budgets`` and ``values`` are Fractions built on
+first read. The bundle sums, the knapsack kernels, the searches in
+``oracles`` and the derived instances of ``normalize`` and the three-agent
+pipeline read and write that form; results leave as Fractions.
+
+The knapsack kernels are the suffix Pareto frontiers read by
+``knapsack_vmax`` and by the leave-one-out engine ``_LeaveOneOut``, and one
+bounded decision, ``_beats``, that answers whether an agent envies a
+bundle. The envy, EFx and EF1 predicates ask ``_beats`` first and build an
+engine only for an agent that envies; the feasibility graph builds one for
+every bundle. Floats and booleans are rejected at the boundary because
+every predicate in this package compares exact sums.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -81,18 +86,38 @@ class SearchCapExceededError(FairDivisionError):
     """The enumeration cap was hit; the caller gets an error, never a guess."""
 
 
-def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """``xs`` times the LCM of their denominators, as ints, and that LCM."""
+def _over_common_denominator(xs: Iterable[RationalLike]) -> tuple[tuple[int, ...], int]:
+    """``xs`` times the LCM of their denominators, as ints, and that LCM.
+
+    A tuple of ints is its own answer, with LCM 1, and is not copied. Any
+    other number goes through :func:`to_rational`, in order.
+    """
+    xs = tuple(xs)
+    for x in xs:
+        if type(x) is not int:
+            break
+    else:
+        return xs, 1
     # One as_integer_ratio() call per number, not two property reads.
-    pairs = [x.as_integer_ratio() for x in xs]
+    pairs = [to_rational(x).as_integer_ratio() for x in xs]
     lcm = math.lcm(*[q for _, q in pairs])
     if lcm == 1:
         return tuple([p for p, _ in pairs]), 1
     return tuple([p * (lcm // q) for p, q in pairs]), lcm
 
 
+def _lowest_terms(ints: tuple[int, ...], scale: int) -> tuple[tuple[int, ...], int]:
+    """The numbers ``ints`` over ``scale`` in the instance's form: both divided
+    by their gcd, which leaves the scale at the LCM of the reduced
+    denominators."""
+    d = math.gcd(scale, *ints)
+    if d == 1:
+        return ints, scale
+    return tuple([x // d for x in ints]), scale // d
+
+
 def to_rational(x: RationalLike) -> Fraction:
-    """Convert to an exact rational, rejecting floats outright."""
+    """Convert to an exact rational, rejecting floats and booleans outright."""
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
@@ -100,54 +125,90 @@ def to_rational(x: RationalLike) -> Fraction:
             f"floating point value {x!r} is not allowed; pass an int, a 'p/q' "
             "string, or a Fraction"
         )
+    if isinstance(x, bool):
+        raise StructuralError(
+            f"boolean value {x!r} is not allowed; pass an int, a 'p/q' string, or a Fraction"
+        )
     try:
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise StructuralError(f"cannot interpret {x!r} as a rational") from exc
 
 
-@dataclass(frozen=True)
+# The value scales of an instance whose values are all ints, shared by every
+# such instance with up to 8 agents.
+_UNIT_SCALES = tuple((1,) * n for n in range(9))
+
+
+def _unit_scales(n: int) -> tuple[int, ...]:
+    return _UNIT_SCALES[n] if n < len(_UNIT_SCALES) else (1,) * n
+
+
+def _fractions(ints: tuple[int, ...], scale: int) -> tuple[Fraction, ...]:
+    if scale == 1:
+        return tuple([Fraction(x) for x in ints])
+    return tuple([Fraction(x, scale) for x in ints])
+
+
 class Instance:
     """Goods with costs, agents with budgets and additive per-good values.
 
     ``values[i][g]`` is agent ``i``'s value for good ``g``. Good and agent
     ids are dense 0-based indices into these tuples.
 
-    The instance also keeps its integer form, built from these fields alone
-    in ``__post_init__``: ``_int_costs`` and ``_int_budgets`` are the costs
-    and budgets times ``_cost_scale``, the LCM of their denominators, and
-    ``_int_values[i]`` is agent ``i``'s values times ``_value_scales[i]``,
-    the LCM of that agent's denominators. Each scale is a positive constant,
-    so every comparison of costs with budgets, and of one agent's values
-    with each other, reads the same on the integers.
+    The instance is its integer form: ``_int_costs`` and ``_int_budgets``
+    are the costs and budgets times ``_cost_scale``, the LCM of their
+    reduced denominators, and ``_int_values[i]`` is agent ``i``'s values
+    times ``_value_scales[i]``, the LCM of that agent's reduced
+    denominators. Each scale is a positive constant, so every comparison of
+    costs with budgets, and of one agent's values with each other, reads the
+    same on the integers. Int inputs go into the form as they are; other
+    numbers go through :func:`to_rational`. The public ``costs``,
+    ``budgets`` and ``values`` are tuples of Fractions, each built on its
+    first read and then kept. The form is canonical, so ``==`` and ``hash``
+    read it, and the instance is immutable like a frozen dataclass.
     """
 
-    costs: tuple[Fraction, ...]
-    budgets: tuple[Fraction, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    __slots__ = (
+        "_int_costs",
+        "_int_budgets",
+        "_cost_scale",
+        "_int_values",
+        "_value_scales",
+        # The views, once read; an instance has no dict before that.
+        "__dict__",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "costs", tuple(to_rational(c) for c in self.costs))
-        if len(self.costs) > MAX_GOODS:
-            raise StructuralError(f"{len(self.costs)} goods exceed the limit of {MAX_GOODS}")
-        object.__setattr__(self, "budgets", tuple(to_rational(b) for b in self.budgets))
-        object.__setattr__(
-            self, "values", tuple(tuple(to_rational(v) for v in row) for row in self.values)
-        )
-        if len(self.values) != len(self.budgets):
-            raise StructuralError(
-                f"{len(self.budgets)} budgets but {len(self.values)} value rows"
-            )
-        for i, row in enumerate(self.values):
-            if len(row) != len(self.costs):
-                raise StructuralError(
-                    f"agent {i} has {len(row)} values but there are {len(self.costs)} goods"
-                )
-        amounts, cost_scale = _over_common_denominator(self.costs + self.budgets)
-        rows = [_over_common_denominator(row) for row in self.values]
-        m = len(self.costs)
-        int_costs, int_budgets = amounts[:m], amounts[m:]
-        int_values = tuple(row for row, _ in rows)
+    def __init__(
+        self,
+        costs: Iterable[RationalLike],
+        budgets: Iterable[RationalLike],
+        values: Iterable[Iterable[RationalLike]],
+    ) -> None:
+        int_costs, cost_scale = _over_common_denominator(costs)
+        m = len(int_costs)
+        if m > MAX_GOODS:
+            raise StructuralError(f"{m} goods exceed the limit of {MAX_GOODS}")
+        int_budgets, budget_scale = _over_common_denominator(budgets)
+        values = tuple(values)
+        rows = [_over_common_denominator(row) for row in values]
+        if len(rows) != len(int_budgets):
+            raise StructuralError(f"{len(int_budgets)} budgets but {len(rows)} value rows")
+        for i, (row, _) in enumerate(rows):
+            if len(row) != m:
+                raise StructuralError(f"agent {i} has {len(row)} values but there are {m} goods")
+        if cost_scale != budget_scale:
+            scale = math.lcm(cost_scale, budget_scale)
+            int_costs = tuple([c * (scale // cost_scale) for c in int_costs])
+            int_budgets = tuple([b * (scale // budget_scale) for b in int_budgets])
+            cost_scale = scale
+        if all(row is given for (row, _), given in zip(rows, values)):
+            int_values = values
+        else:
+            int_values = tuple([row for row, _ in rows])
+        value_scales = tuple([scale for _, scale in rows])
+        if all(scale == 1 for scale in value_scales):
+            value_scales = _unit_scales(len(value_scales))
         # The scales are positive, so the integers keep every sign.
         if any(c < 0 for c in int_costs):
             raise StructuralError("costs must be nonnegative")
@@ -155,19 +216,61 @@ class Instance:
             raise StructuralError("budgets must be nonnegative")
         if any(v < 0 for row in int_values for v in row):
             raise StructuralError("values must be nonnegative")
-        object.__setattr__(self, "_int_costs", int_costs)
-        object.__setattr__(self, "_int_budgets", int_budgets)
-        object.__setattr__(self, "_cost_scale", cost_scale)
-        object.__setattr__(self, "_int_values", int_values)
-        object.__setattr__(self, "_value_scales", tuple(scale for _, scale in rows))
+        _set_form(self, int_costs, int_budgets, cost_scale, int_values, value_scales)
+
+    @cached_property
+    def costs(self) -> tuple[Fraction, ...]:
+        return _fractions(self._int_costs, self._cost_scale)
+
+    @cached_property
+    def budgets(self) -> tuple[Fraction, ...]:
+        return _fractions(self._int_budgets, self._cost_scale)
+
+    @cached_property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(
+            [_fractions(row, scale) for row, scale in zip(self._int_values, self._value_scales)]
+        )
+
+    def _form(self) -> tuple:
+        return (
+            self._int_costs,
+            self._int_budgets,
+            self._cost_scale,
+            self._int_values,
+            self._value_scales,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._form() == other._form()
+
+    def __hash__(self) -> int:
+        return hash(self._form())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(costs={self.costs!r}, "
+            f"budgets={self.budgets!r}, values={self.values!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _from_form, self._form()
 
     @property
     def num_goods(self) -> int:
-        return len(self.costs)
+        return len(self._int_costs)
 
     @property
     def num_agents(self) -> int:
-        return len(self.budgets)
+        return len(self._int_budgets)
 
     def all_goods(self) -> Bundle:
         return frozenset(range(self.num_goods))
@@ -182,11 +285,41 @@ class Instance:
 
     def check_bundle(self, bundle: Iterable[int]) -> Bundle:
         bundle = frozenset(bundle)
-        m = len(self.costs)
+        m = len(self._int_costs)
         for g in bundle:
             if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < m:
                 raise StructuralError(f"unknown good id {g!r}")
         return bundle
+
+
+def _set_form(
+    instance: Instance,
+    int_costs: tuple[int, ...],
+    int_budgets: tuple[int, ...],
+    cost_scale: int,
+    int_values: tuple[tuple[int, ...], ...],
+    value_scales: tuple[int, ...],
+) -> None:
+    put = object.__setattr__
+    put(instance, "_int_costs", int_costs)
+    put(instance, "_int_budgets", int_budgets)
+    put(instance, "_cost_scale", cost_scale)
+    put(instance, "_int_values", int_values)
+    put(instance, "_value_scales", value_scales)
+
+
+def _from_form(
+    int_costs: tuple[int, ...],
+    int_budgets: tuple[int, ...],
+    cost_scale: int,
+    int_values: tuple[tuple[int, ...], ...],
+    value_scales: tuple[int, ...],
+) -> Instance:
+    """The instance with this integer form, which must be canonical (see
+    :func:`_lowest_terms`) and nonnegative; nothing is checked."""
+    instance = object.__new__(Instance)
+    _set_form(instance, int_costs, int_budgets, cost_scale, int_values, value_scales)
+    return instance
 
 
 @dataclass(frozen=True)
@@ -658,10 +791,11 @@ def nsw_product(instance: Instance, allocation: Allocation) -> Fraction:
     made here is between allocations of the same instance, for which the
     product order and the geometric-mean order coincide.
     """
-    product = Fraction(1)
-    for i in range(instance.num_agents):
-        product *= bundle_value(instance, i, allocation.bundles[i])
-    return product
+    n = instance.num_agents
+    return Fraction(
+        math.prod([_int_value(instance, i, allocation.bundles[i]) for i in range(n)]),
+        math.prod(instance._value_scales),
+    )
 
 
 def normalize(instance: Instance, opt: Allocation) -> Instance:
@@ -669,13 +803,23 @@ def normalize(instance: Instance, opt: Allocation) -> Instance:
 
     Costs and budgets are untouched. Instances where some agent values her
     optimum bundle at zero are rejected: the rescaling is undefined there.
+
+    Agent i's values are her integer row over her scale S_i, and her
+    optimum is worth w/S_i for an int w; so the rescaled values are the
+    same row over the scale w, brought to lowest terms.
     """
-    scaled_rows = []
-    for i in range(instance.num_agents):
-        opt_value = bundle_value(instance, i, opt.bundles[i])
+    rows = []
+    for i, row in enumerate(instance._int_values):
+        opt_value = _int_value(instance, i, opt.bundles[i])
         if opt_value == 0:
             raise DegenerateOptimumError(
                 f"degenerate optimum: agent {i} values her optimum bundle at 0"
             )
-        scaled_rows.append(tuple(v / opt_value for v in instance.values[i]))
-    return Instance(instance.costs, instance.budgets, tuple(scaled_rows))
+        rows.append(_lowest_terms(row, opt_value))
+    return _from_form(
+        instance._int_costs,
+        instance._int_budgets,
+        instance._cost_scale,
+        tuple([row for row, _ in rows]),
+        tuple([scale for _, scale in rows]),
+    )

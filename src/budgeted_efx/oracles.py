@@ -23,7 +23,6 @@ from .model import (
     SearchCapExceededError,
     StructuralError,
     ZERO,
-    bundle_cost,
     bundle_value,
     efx_envies,
     to_rational,
@@ -260,8 +259,8 @@ def complete_efx_allocation(
     for a in agents:
         instance.check_agent(a)
     pool = instance.check_bundle(pool)
-    min_budget = min(instance.budgets[a] for a in agents)
-    if bundle_cost(instance, pool) > min_budget:
+    costs = instance._int_costs
+    if sum([costs[g] for g in pool]) > min(instance._int_budgets[a] for a in agents):
         raise StructuralError(
             "pool must be affordable within every agent's budget"
         )

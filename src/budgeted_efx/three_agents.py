@@ -23,7 +23,8 @@ from .model import (
     Instance,
     InvariantViolationError,
     StructuralError,
-    bundle_cost,
+    _from_form,
+    _lowest_terms,
     bundle_value,
     envies,
     knapsack_vmax,
@@ -121,39 +122,31 @@ def preprocess(instance: Instance, opt: Allocation) -> tuple[Bundle, SetAside]:
     # scales, so every comparison reads as it would on the Fractions.
     n = instance.num_agents
     costs, budgets = instance._int_costs, instance._int_budgets
-    rows = instance._int_values
-    nominations: list[list[int]] = []
+    rows, scales = instance._int_values, instance._value_scales
+    # Each agent's options: her nominations, or nothing. An agent whose
+    # nominations meet her optimum bundle keeps only those worth at least
+    # the best of them that lies in it, and must be matched.
+    options: list[list[int | None]] = []
     for i in range(n):
         row = rows[i]
         affordable = [g for g in range(instance.num_goods) if costs[g] <= budgets[i]]
         affordable.sort(key=lambda g: (-row[g], g))
-        nominations.append(affordable[:3])
+        nominations = affordable[:3]
+        own_opt = [row[g] for g in nominations if g in opt.bundles[i]]
+        if own_opt:
+            floor = max(own_opt)
+            options.append([g for g in nominations if row[g] >= floor])
+        else:
+            options.append([*nominations, None])
 
-    required: list[int | None] = []
-    for i in range(n):
-        own_opt = [rows[i][g] for g in nominations[i] if g in opt.bundles[i]]
-        required.append(max(own_opt) if own_opt else None)
-
-    common = math.lcm(*instance._value_scales)
-    weights = [
-        [v * (common // scale) for v in row]
-        for row, scale in zip(rows, instance._value_scales)
-    ]
+    common = math.lcm(*scales)
+    weights = [[v * (common // scale) for v in row] for row, scale in zip(rows, scales)]
     sentinel = instance.num_goods
     best_weight: int | None = None
     best_combo: tuple[int | None, ...] | None = None
-    for combo in itertools.product(*[nom + [None] for nom in nominations]):
+    for combo in itertools.product(*options):
         chosen = [g for g in combo if g is not None]
         if len(chosen) != len(set(chosen)):
-            continue
-        ok = True
-        for i in range(n):
-            if required[i] is None:
-                continue
-            if combo[i] is None or rows[i][combo[i]] < required[i]:
-                ok = False
-                break
-        if not ok:
             continue
         weight = sum(weights[i][g] for i, g in enumerate(combo) if g is not None)
         tie = tuple(sentinel if g is None else g for g in combo)
@@ -169,7 +162,7 @@ def preprocess(instance: Instance, opt: Allocation) -> tuple[Bundle, SetAside]:
         raise InvariantViolationError("preprocess infeasible: no admissible matching")
 
     values = tuple(
-        instance.values[i][g] if g is not None else Fraction(0)
+        Fraction(rows[i][g], scales[i]) if g is not None else Fraction(0)
         for i, g in enumerate(best_combo)
     )
     pool = instance.all_goods() - {g for g in best_combo if g is not None}
@@ -185,20 +178,25 @@ def trim_to_budget_share(
     Zero-cost goods have infinite density and are never dropped; ties go to
     the lowest good id.
     """
-    budgets = set(instance.budgets)
+    # On the integer form: a bundle fits the 1/n share of budget B when n
+    # times its cost is at most B, and one agent's densities compare as
+    # her integer values over the integer costs.
+    budgets = set(instance._int_budgets)
     if len(budgets) != 1:
         raise StructuralError("trimming requires equal budgets")
-    share = instance.budgets[0] / instance.num_agents
+    (budget,) = budgets
+    n = instance.num_agents
+    costs = instance._int_costs
     trimmed: list[Bundle] = []
-    for i in range(instance.num_agents):
-        kept = set(opt_on_pool.bundles[i])
-        while bundle_cost(instance, kept) > share:
-            droppable = [g for g in kept if instance.costs[g] > 0]
-            g = min(
-                droppable,
-                key=lambda h: (instance.values[i][h] / instance.costs[h], h),
-            )
+    for i in range(n):
+        row = instance._int_values[i]
+        kept = set(instance.check_bundle(opt_on_pool.bundles[i]))
+        spent = sum([costs[g] for g in kept])
+        while n * spent > budget:
+            droppable = [g for g in kept if costs[g] > 0]
+            g = min(droppable, key=lambda h: (Fraction(row[h], costs[h]), h))
             kept.remove(g)
+            spent -= costs[g]
         trimmed.append(frozenset(kept))
     return tuple(trimmed)
 
@@ -261,7 +259,8 @@ def round_robin_self_split(
     """
     instance.check_agent(agent)
     pool = instance.check_bundle(pool)
-    ordered = sorted(pool, key=lambda g: (-instance.values[agent][g], g))
+    row = instance._int_values[agent]
+    ordered = sorted(pool, key=lambda g: (-row[g], g))
     first = frozenset(ordered[0::2])
     second = frozenset(ordered[1::2])
     return SplitPair(first, second)
@@ -286,9 +285,10 @@ def else_procedure(
     affordable piece of what agent 3 kept.
     """
     pool = instance.all_goods() - {g for g in setaside.goods if g is not None}
-    b_low = instance.budgets[0]
-    if not (b_low <= instance.budgets[1] <= instance.budgets[2]):
+    budgets = instance._int_budgets
+    if not (budgets[0] <= budgets[1] <= budgets[2]):
         raise StructuralError("agents must be indexed by ascending budget")
+    b_low = Fraction(budgets[0], instance._cost_scale)
 
     x1 = knapsack_vmax(instance, 0, pool, b_low).witness
     rest = pool - x1
@@ -330,7 +330,7 @@ def else_procedure(
     dropped = split.first if hi_first >= hi_second else split.second
     x_lo_kept = x_lo - dropped
 
-    grab = knapsack_vmax(instance, 0, x_lo_kept, instance.budgets[0]).witness
+    grab = knapsack_vmax(instance, 0, x_lo_kept, b_low).witness
     if bundle_value(instance, 0, x1_share) < bundle_value(instance, 0, grab):
         x1_final = grab
         x_lo_kept = x_lo_kept - grab
@@ -344,10 +344,31 @@ def else_procedure(
 
 
 def _permute_instance(instance: Instance, order: Sequence[int]) -> Instance:
-    return Instance(
-        instance.costs,
-        tuple(instance.budgets[i] for i in order),
-        tuple(instance.values[i] for i in order),
+    # A permutation keeps every scale, so the form stays canonical.
+    return _from_form(
+        instance._int_costs,
+        tuple([instance._int_budgets[i] for i in order]),
+        instance._cost_scale,
+        tuple([instance._int_values[i] for i in order]),
+        tuple([instance._value_scales[i] for i in order]),
+    )
+
+
+def _equal_budgets(instance: Instance) -> Instance:
+    """Costs divided by the lowest budget b and budgets all 1; when b is 0,
+    the costs as they are and budgets all 0.
+
+    On the integer form both are the costs over a new scale: the lowest
+    budget's int b when b > 0, the cost scale otherwise.
+    """
+    low = min(instance._int_budgets)
+    n = instance.num_agents
+    amounts, scale = _lowest_terms(
+        instance._int_costs + (low,) * n, low or instance._cost_scale
+    )
+    m = instance.num_goods
+    return _from_form(
+        amounts[:m], amounts[m:], scale, instance._int_values, instance._value_scales
     )
 
 
@@ -384,26 +405,19 @@ def efx_3a(
         )
 
     normalized = normalize(instance, opt)
-    roles = tuple(sorted(range(3), key=lambda i: (instance.budgets[i], i)))
+    roles = tuple(sorted(range(3), key=lambda i: (instance._int_budgets[i], i)))
     work = _permute_instance(normalized, roles)
     opt_work = _permute_allocation(opt, roles)
 
     pool, setaside = preprocess(work, opt_work)
-    b_low = work.budgets[0]
+    b_low = Fraction(work._int_budgets[0], work._cost_scale)
     m2 = knapsack_vmax(work, 1, pool, b_low).value
     m3 = knapsack_vmax(work, 2, pool, b_low).value
 
     notes: list[str] = []
     if m2 >= alpha.alpha and m3 >= alpha.alpha:
         branch = "equal_budget"
-        if b_low > 0:
-            reduced = Instance(
-                tuple(c / b_low for c in work.costs),
-                (Fraction(1),) * 3,
-                work.values,
-            )
-        else:
-            reduced = Instance(work.costs, (Fraction(0),) * 3, work.values)
+        reduced = _equal_budgets(work)
         opt_on_pool = max_nsw_allocation(reduced, range(3), pool, search)
         result = equal_budget_procedure(reduced, opt_on_pool, search)
     else:

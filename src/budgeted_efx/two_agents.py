@@ -303,7 +303,7 @@ def efx_2a(
         branch = "removal_loop"
         kept = set(x_envied)
         reserve: set[int] = set()
-        envier_vals = instance.values[envier]
+        envier_vals = instance._int_values[envier]
         while True:
             graph = build_feasibility_graph(
                 instance,
