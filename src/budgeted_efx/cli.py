@@ -5,6 +5,11 @@ Exit codes form the CI contract: 0 success, 1 usage or parse failure,
 search-cap exhaustion, 4 verification failure. Errors are mapped to these
 codes once, in :func:`main`. Every boolean in a report is recomputed from
 the final allocation, never copied out of algorithm state.
+
+Inputs are checked once, here and on entry to the solvers; a report's
+numbers come from one integer pass and become ``"p/q"`` text only in JSON.
+Documents are read as bytes, reports written as ASCII bytes, and argv goes
+to the named subcommand's parser (see :func:`_parse_args`).
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -24,6 +29,7 @@ from typing import Callable
 from .instances import (
     ParseError,
     _canonical_json,
+    _ratio_to_json,
     allocation_to_payload,
     gen_instances,
     instance_sha256,
@@ -35,15 +41,15 @@ from .instances import (
 )
 from .model import (
     Allocation,
-    EfxViolation,
     FairDivisionError,
     Instance,
     InvariantViolationError,
     StructuralError,
-    bundle_cost,
-    bundle_value,
-    efx_violation,
-    envies,
+    _efx_violation,
+    _envious,
+    _int_cost,
+    _own_values,
+    _values,
     is_ef1,
     is_efx,
     is_envy_free,
@@ -70,7 +76,8 @@ EXIT_CAP = 3
 EXIT_VERIFY = 4
 
 CAP_ENV_VAR = "BUDGETED_EFX_CAP"
-RATIO_FLOOR_3A = Fraction(1, 171) ** 3
+# The three-agent welfare floor is the optimum over RATIO_DIVISOR_3A.
+RATIO_DIVISOR_3A = 171**3
 
 
 def _search_budget(cap: int | None) -> SearchBudget:
@@ -85,47 +92,51 @@ def _search_budget(cap: int | None) -> SearchBudget:
     return SearchBudget()
 
 
-def _budget_certificate(instance: Instance, allocation: Allocation) -> bool:
-    return all(
-        bundle_cost(instance, allocation.bundles[i]) <= instance.budgets[i]
-        for i in range(instance.num_agents)
-    )
+def _fits(instance: Instance, allocation: Allocation) -> bool:
+    budgets = instance._int_budgets
+    return all(_int_cost(instance, b) <= budgets[i] for i, b in enumerate(allocation.bundles))
 
 
-def _efx_block(violation: EfxViolation | None) -> dict:
+def _shared_fields(instance: Instance, allocation: Allocation) -> tuple[dict, list[int]]:
+    """The fields of solve and verify reports alike, and each agent's value
+    of her bundle, from the allocation's one check and one integer pass."""
+    values = _own_values(instance, allocation)
+    violation = _efx_violation(instance, allocation.bundles, values)
     return {
-        "pass": violation is None,
-        "witness": None if violation is None else asdict(violation),
-    }
-
-
-def _base_report(instance: Instance, algorithm: str, allocation: Allocation) -> dict:
-    return {
-        "algorithm": algorithm,
         "input_hash": instance_sha256(instance),
         "allocation": allocation_to_payload(allocation),
-        "agent_values": [
-            rational_to_json(bundle_value(instance, i, allocation.bundles[i]))
-            for i in range(instance.num_agents)
-        ],
-        "agent_costs": [
-            rational_to_json(bundle_cost(instance, allocation.bundles[i]))
-            for i in range(instance.num_agents)
-        ],
-        "budgets": [rational_to_json(b) for b in instance.budgets],
-        "nsw_product": rational_to_json(nsw_product(instance, allocation)),
-        "budget_feasible": _budget_certificate(instance, allocation),
-        "efx": _efx_block(efx_violation(instance, allocation)),
-    }
+        "nsw_product": _ratio_to_json(math.prod(values), math.prod(instance._value_scales)),
+        "budget_feasible": _fits(instance, allocation),
+        "efx": {
+            "pass": violation is None,
+            "witness": None if violation is None else asdict(violation),
+        },
+    }, values
+
+
+def _base_report(
+    instance: Instance, algorithm: str, allocation: Allocation
+) -> tuple[dict, list[int]]:
+    report, values = _shared_fields(instance, allocation)
+    scale = instance._cost_scale
+    report.update(
+        algorithm=algorithm,
+        agent_values=list(map(_ratio_to_json, values, instance._value_scales)),
+        agent_costs=[_ratio_to_json(_int_cost(instance, b), scale) for b in allocation.bundles],
+        budgets=[_ratio_to_json(b, scale) for b in instance._int_budgets],
+    )
+    return report, values
 
 
 def _emit(text: str, out: str | Path | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    """Write ``text`` to the file ``out``, or to stdout when there is none.
+    Reports and tables are ASCII, so a file gets their bytes as they are."""
     if not out:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text, newline="")
+        with open(out, "wb") as file:
+            file.write(text.encode())
     except OSError as exc:
         raise FairDivisionError(f"{out}: cannot write: {exc.strerror or exc}") from exc
 
@@ -134,11 +145,12 @@ def _write_report(report: dict, out: str | None) -> None:
     _emit(_canonical_json(report), out)
 
 
-def _ratio_check(name: str, lhs: Fraction, rhs: Fraction) -> dict:
+def _ratio_check(name: str, lhs: int, rhs: int, scale: int) -> dict:
+    """The check lhs >= rhs, both numbers over one positive ``scale``."""
     return {
         "name": name,
-        "lhs": rational_to_json(lhs),
-        "rhs": rational_to_json(rhs),
+        "lhs": _ratio_to_json(lhs, scale),
+        "rhs": _ratio_to_json(rhs, scale),
         "pass": lhs >= rhs,
     }
 
@@ -157,49 +169,31 @@ def _solve_report(
             )
         else:
             seed_alloc = parse_allocation(seed, instance)
-            if not _budget_certificate(instance, seed_alloc):
+            if not _fits(instance, seed_alloc):
                 raise StructuralError("seed allocation is not budget-feasible")
-        seed_values = [
-            bundle_value(instance, i, seed_alloc.bundles[i]) for i in range(2)
-        ]
+        # The seed was checked as it was read, or built by the search.
+        seed = _values(instance, seed_alloc.bundles)
         result = efx_2a(instance, (0, 1), seed_alloc)
-        report = _base_report(instance, "efx2", result.allocation)
-        out_values = [
-            bundle_value(instance, i, result.allocation.bundles[i])
-            for i in range(2)
-        ]
-        seed_product = seed_values[0] * seed_values[1]
-        checks = [
-            _ratio_check(
-                "product_at_least_half_of_seed",
-                out_values[0] * out_values[1] * 2,
-                seed_product,
-            ),
-        ]
+        report, out = _base_report(instance, "efx2", result.allocation)
+        # Each check compares one agent's values, or products of both agents'
+        # values, so both sides share a scale.
+        scales = instance._value_scales
+        both = scales[0] * scales[1]
+        half = out[0] * out[1] * 2
+        checks = [_ratio_check("product_at_least_half_of_seed", half, seed[0] * seed[1], both)]
         if result.envier is not None:
-            envied = 1 - result.envier
+            e, d = result.envier, 1 - result.envier  # the envier, the envied
+            checks.append(_ratio_check("envier_keeps_input_value", out[e], seed[e], scales[e]))
             checks.append(
-                _ratio_check(
-                    "envier_keeps_input_value",
-                    out_values[result.envier],
-                    seed_values[result.envier],
-                )
-            )
-            checks.append(
-                _ratio_check(
-                    "envied_keeps_half_input_value",
-                    out_values[envied] * 2,
-                    seed_values[envied],
-                )
+                _ratio_check("envied_keeps_half_input_value", out[d] * 2, seed[d], scales[d])
             )
         no_envy_toward_r = not any(
-            envies(instance, result.allocation, i, result.unallocated_r)
-            for i in range(2)
+            _envious(instance, i, result.unallocated_r, out[i]) for i in range(2)
         )
         report.update(
             {
                 "seed_allocation": allocation_to_payload(seed_alloc),
-                "seed_product": rational_to_json(seed_product),
+                "seed_product": _ratio_to_json(seed[0] * seed[1], both),
                 "ratio_checks": checks,
                 "no_envy_toward_unallocated": no_envy_toward_r,
                 "trace": {
@@ -221,16 +215,21 @@ def _solve_report(
         except StructuralError as exc:
             raise ParseError(f"bad alpha: {exc}") from exc
         result = efx_3a(instance, params, search)
-        report = _base_report(instance, "efx3", result.allocation)
+        report, values = _base_report(instance, "efx3", result.allocation)
+        # Both products over RATIO_DIVISOR_3A times the product of the value
+        # scales, which the optimum's reduced denominator divides.
+        scale = math.prod(instance._value_scales)
+        opt = result.opt_product
         report.update(
             {
                 "alpha": rational_to_json(result.alpha),
-                "opt_product": rational_to_json(result.opt_product),
+                "opt_product": rational_to_json(opt),
                 "ratio_checks": [
                     _ratio_check(
                         "product_at_least_opt_over_171_cubed",
-                        result.final_product,
-                        RATIO_FLOOR_3A * result.opt_product,
+                        math.prod(values) * RATIO_DIVISOR_3A,
+                        opt.numerator * (scale // opt.denominator),
+                        scale * RATIO_DIVISOR_3A,
                     )
                 ],
                 "trace": {
@@ -252,14 +251,13 @@ def _solve_report(
         allocation = max_nsw_allocation(
             instance, range(instance.num_agents), instance.all_goods(), search
         )
-        report = _base_report(instance, "oracle-nsw", allocation)
+        report, _ = _base_report(instance, "oracle-nsw", allocation)
         report["ratio_checks"] = []
         report["trace"] = {"branch": "exhaustive_max_nsw"}
     elif algorithm == "oracle-efx":
         found = best_allocation_under_predicate(instance, is_efx, search)
         assert found is not None  # the all-empty allocation is EFx
-        allocation, product = found
-        report = _base_report(instance, "oracle-efx", allocation)
+        report, _ = _base_report(instance, "oracle-efx", found[0])
         report["ratio_checks"] = []
         report["trace"] = {"branch": "exhaustive_best_efx"}
     else:
@@ -292,17 +290,13 @@ def _verify_report(
         pareto: bool | None = is_pareto_efficient(instance, allocation, search)
     except SearchCapExceededError:
         pareto = None
-
-    return {
-        "input_hash": instance_sha256(instance),
-        "allocation": allocation_to_payload(allocation),
-        "budget_feasible": _budget_certificate(instance, allocation),
-        "envy_free": is_envy_free(instance, allocation),
-        "ef1": is_ef1(instance, allocation),
-        "efx": _efx_block(efx_violation(instance, allocation)),
-        "pareto_efficient": pareto,
-        "nsw_product": rational_to_json(nsw_product(instance, allocation)),
-    }
+    report, _ = _shared_fields(instance, allocation)
+    report.update(
+        envy_free=is_envy_free(instance, allocation),
+        ef1=is_ef1(instance, allocation),
+        pareto_efficient=pareto,
+    )
+    return report
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -465,6 +459,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each subcommand's parser by its name."""
     parser = argparse.ArgumentParser(
         prog="budgeted-efx",
         description=(
@@ -505,17 +504,30 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--cap", type=int, default=None)
     bench.add_argument("--out", default=None, help="CSV path (stdout by default)")
     bench.set_defaults(func=cmd_bench)
-    return parser
+    return parser, {"solve": solve, "verify": verify, "bench": bench}
 
 
 # Built once per process: parsing leaves a parser unchanged, and help text is
 # formatted only when it is printed.
-_PARSER = build_parser()
+_PARSER, _COMMANDS = _build_parsers()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What the full parser makes of ``argv``, at about half the cost: it
+    hands every word after a command word to that command's parser, which
+    is asked directly. The full parser is asked for anything else, and for
+    the error about words the command's parser leaves over."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

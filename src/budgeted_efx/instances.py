@@ -97,16 +97,37 @@ def rational_to_json(x: Fraction) -> int | str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _ratio_to_json(p: int, q: int) -> int | str:
+    # rational_to_json(Fraction(p, q)) for q > 0, without the Fraction.
+    d = math.gcd(p, q)
+    return p // d if d == q else f"{p // d}/{q // d}"
+
+
 def _load_document(source: str | Path | dict) -> Any:
-    """Decode the JSON document at a path; pass a decoded document through."""
+    """Decode the JSON document at a path; pass a decoded document through.
+    ``json.loads`` reads the bytes as UTF-8, -16 or -32, or fails on them."""
     if not isinstance(source, (str, Path)):
         return source
     try:
-        return json.loads(Path(source).read_text())
+        with open(source, "rb") as file:
+            return json.loads(file.read())
     except OSError as exc:
         raise ParseError(f"{source}: cannot read: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{source}: invalid JSON: {exc}") from exc
+
+
+def _check_id(given: Any, pos: int, array: str, kind: str) -> None:
+    # Ids are dense and ordered, so an id equal to an earlier one is below
+    # ``pos``, and each earlier id was its own position.
+    if type(given) is int and given == pos:
+        return
+    if isinstance(given, bool) or not isinstance(given, int):
+        raise ParseError(f"{array}[{pos}]: {kind} id must be an integer, got {given!r}")
+    if 0 <= given < pos:
+        raise ParseError(f"{array}[{pos}]: duplicate {kind} id {given}")
+    if given != pos:
+        raise ParseError(f"{array}[{pos}]: {kind} ids must be dense and ordered, got {given}")
 
 
 def parse_instance(source: str | Path | dict) -> Instance:
@@ -123,36 +144,20 @@ def parse_instance(source: str | Path | dict) -> Instance:
         raise ParseError("'goods' and 'agents' must be arrays")
 
     costs: list[int | Fraction] = []
-    seen_goods: set[int] = set()
     for pos, entry in enumerate(goods):
         if not isinstance(entry, dict) or "id" not in entry or "cost" not in entry:
             raise ParseError(f"goods[{pos}]: expected an object with 'id' and 'cost'")
-        gid = entry["id"]
-        if isinstance(gid, bool) or not isinstance(gid, int):
-            raise ParseError(f"goods[{pos}]: good id must be an integer, got {gid!r}")
-        if gid in seen_goods:
-            raise ParseError(f"goods[{pos}]: duplicate good id {gid}")
-        if gid != pos:
-            raise ParseError(f"goods[{pos}]: good ids must be dense and ordered, got {gid}")
-        seen_goods.add(gid)
+        _check_id(entry["id"], pos, "goods", "good")
         costs.append(_rational_at(entry["cost"], "goods[%d].cost", pos))
 
     budgets: list[int | Fraction] = []
     values: list[tuple[int | Fraction, ...]] = []
-    seen_agents: set[int] = set()
     for pos, entry in enumerate(agents):
         if not isinstance(entry, dict) or not {"id", "budget", "values"} <= entry.keys():
             raise ParseError(
                 f"agents[{pos}]: expected an object with 'id', 'budget' and 'values'"
             )
-        aid = entry["id"]
-        if isinstance(aid, bool) or not isinstance(aid, int):
-            raise ParseError(f"agents[{pos}]: agent id must be an integer, got {aid!r}")
-        if aid in seen_agents:
-            raise ParseError(f"agents[{pos}]: duplicate agent id {aid}")
-        if aid != pos:
-            raise ParseError(f"agents[{pos}]: agent ids must be dense and ordered, got {aid}")
-        seen_agents.add(aid)
+        _check_id(entry["id"], pos, "agents", "agent")
         budgets.append(_rational_at(entry["budget"], "agents[%d].budget", pos))
         row = entry["values"]
         if not isinstance(row, list) or len(row) != len(costs):
@@ -192,11 +197,8 @@ def _numbers_text(ints: tuple[int, ...], scale: int) -> list[str]:
     # rational_to_json(x / scale) as JSON text, for each x of ints.
     if scale == 1:
         return [str(x) for x in ints]
-    out = []
-    for x in ints:
-        d = math.gcd(x, scale)
-        out.append(str(x // d) if d == scale else f'"{x // d}/{scale // d}"')
-    return out
+    texts = (_ratio_to_json(x, scale) for x in ints)
+    return [str(v) if type(v) is int else f'"{v}"' for v in texts]
 
 
 def _array_text(items: list[str], indent: str) -> str:
@@ -236,8 +238,12 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def _canonical_text(obj: Any, indent: str) -> str:
-    # ``indent`` is that of the line on which ``obj`` starts.
-    if isinstance(obj, str):
+    # ``indent`` is that of the line on which ``obj`` starts. Reports are
+    # mostly ints, strings and lists of ints: exact types are tried first.
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str or isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
@@ -248,8 +254,9 @@ def _canonical_text(obj: Any, indent: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        return _array_text([_canonical_text(item, inner) for item in obj], indent)
+    if kind is list or isinstance(obj, (list, tuple)):
+        items = [int.__repr__(x) if type(x) is int else _canonical_text(x, inner) for x in obj]
+        return _array_text(items, indent)
     if isinstance(obj, dict):
         for key in obj:
             if not isinstance(key, str):

@@ -210,11 +210,11 @@ class Instance:
         if all(scale == 1 for scale in value_scales):
             value_scales = _unit_scales(len(value_scales))
         # The scales are positive, so the integers keep every sign.
-        if any(c < 0 for c in int_costs):
+        if min(int_costs, default=0) < 0:
             raise StructuralError("costs must be nonnegative")
-        if any(b < 0 for b in int_budgets):
+        if min(int_budgets, default=0) < 0:
             raise StructuralError("budgets must be nonnegative")
-        if any(v < 0 for row in int_values for v in row):
+        if any(min(row, default=0) < 0 for row in int_values):
             raise StructuralError("values must be nonnegative")
         _set_form(self, int_costs, int_budgets, cost_scale, int_values, value_scales)
 
@@ -371,16 +371,32 @@ def make_allocation(
     scope: Iterable[int] | None = None,
 ) -> Allocation:
     """Build an allocation for ``instance``; scope defaults to all goods."""
-    if len(bundles) != instance.num_agents:
-        raise StructuralError(
-            f"expected {instance.num_agents} bundles, got {len(bundles)}"
-        )
+    _check_count(instance, len(bundles))
     checked = tuple(instance.check_bundle(b) for b in bundles)
     if scope is None:
         scope_set = instance.all_goods()
     else:
         scope_set = instance.check_bundle(scope)
     return Allocation(checked, scope_set)
+
+
+def _check_count(instance: Instance, count: int) -> None:
+    if count != len(instance._int_budgets):
+        raise StructuralError(f"expected {instance.num_agents} bundles, got {count}")
+
+
+def _own_values(instance: Instance, allocation: Allocation) -> list[int]:
+    """Each agent's value of her own bundle, in her units, after the one
+    check of the bundle count and every good id; :func:`_values` skips it."""
+    bundles = allocation.bundles
+    _check_count(instance, len(bundles))
+    for b in bundles:
+        instance.check_bundle(b)
+    return _values(instance, bundles)
+
+
+def _values(instance: Instance, bundles: Sequence[Bundle]) -> list[int]:
+    return [sum([row[g] for g in b]) for row, b in zip(instance._int_values, bundles)]
 
 
 @dataclass(frozen=True)
@@ -392,21 +408,27 @@ class KnapsackAnswer:
 
 
 def bundle_cost(instance: Instance, bundle: Iterable[int]) -> Fraction:
-    costs = instance._int_costs
-    total = sum([costs[g] for g in instance.check_bundle(bundle)])
-    return Fraction(total, instance._cost_scale)
+    return Fraction(_int_cost(instance, instance.check_bundle(bundle)), instance._cost_scale)
 
 
 def bundle_value(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     instance.check_agent(agent)
+    bundle = instance.check_bundle(bundle)
     return Fraction(_int_value(instance, agent, bundle), instance._value_scales[agent])
 
 
+# Private helpers take ids checked on the way in, and answer on the integer
+# form: costs over the cost scale, each agent's values over her own.
+
+
+def _int_cost(instance: Instance, bundle: Iterable[int]) -> int:
+    costs = instance._int_costs
+    return sum([costs[g] for g in bundle])
+
+
 def _int_value(instance: Instance, agent: int, bundle: Iterable[int]) -> int:
-    # The agent's value of the bundle in her units: the instance's integer
-    # form of her values.
     row = instance._int_values[agent]
-    return sum([row[g] for g in instance.check_bundle(bundle)])
+    return sum([row[g] for g in bundle])
 
 
 def knapsack_vmax(
@@ -424,15 +446,20 @@ def knapsack_vmax(
     budget = to_rational(budget)
     if budget < 0:
         raise StructuralError("budget must be nonnegative")
+    # The costs are integers over _cost_scale, so a sum fits the budget
+    # exactly when it fits the floor of the scaled budget.
+    cap = budget.numerator * instance._cost_scale // budget.denominator
+    best, witness = _knapsack(instance, agent, pool, cap)
+    return KnapsackAnswer(Fraction(best, instance._value_scales[agent]), witness)
+
+
+def _knapsack(instance: Instance, agent: int, pool: Iterable[int], cap: int) -> tuple:
+    # knapsack_vmax's value and witness, at a budget of ``cap`` cost units.
     goods = sorted(pool)
     int_costs = instance._int_costs
     costs = [int_costs[g] for g in goods]
     row = instance._int_values[agent]
     vals = [row[g] for g in goods]
-    scale = instance._value_scales[agent]
-    # The costs are integers over _cost_scale, so a sum fits the budget
-    # exactly when it fits the floor of the scaled budget.
-    cap = budget.numerator * instance._cost_scale // budget.denominator
 
     # Whole pool affordable: the max value is the sum of the positive-value
     # goods, and the lexicographic tie-break admits every zero-value good
@@ -441,10 +468,9 @@ def knapsack_vmax(
     if sum(costs) <= cap:
         positives = [g for g, v in zip(goods, vals) if v > 0]
         if not positives:
-            return KnapsackAnswer(ZERO, frozenset())
+            return 0, frozenset()
         top = positives[-1]
-        witness = frozenset(g for g, v in zip(goods, vals) if v > 0 or g < top)
-        return KnapsackAnswer(Fraction(sum(vals), scale), witness)
+        return sum(vals), frozenset(g for g, v in zip(goods, vals) if v > 0 or g < top)
 
     suffixes = _suffix_frontiers(costs, vals, cap, agent)
     best = suffixes[0][-1][1]
@@ -460,7 +486,7 @@ def knapsack_vmax(
             witness.append(g)
             need -= vals[k]
             room = rest
-    return KnapsackAnswer(Fraction(best, scale), frozenset(witness))
+    return best, frozenset(witness)
 
 
 # The most entries the suffix frontiers of one knapsack call may hold; past
@@ -619,7 +645,6 @@ class _LeaveOneOut:
         costs = [int_costs[g] for g in goods]
         row = instance._int_values[agent]
         vals = [row[g] for g in goods]
-        self.scale = instance._value_scales[agent]
         self.own = own
         cap = instance._int_budgets[agent]
         if sum(costs) <= cap:
@@ -652,9 +677,6 @@ class _LeaveOneOut:
                 yield g, _best_of_two(prefix, suffixes[k + 1], room)
             prefix = _with_good(prefix, costs[k], vals[k], cap)
 
-    def fraction(self, amount: int) -> Fraction:
-        return Fraction(amount, self.scale)
-
     def _violators(self, ef1: bool) -> Iterator[int]:
         # Goods h, ascending, whose removal still leaves more than ``own``:
         # at budget B (EFx), or with h kept, at budget B - c(h) (EF1).
@@ -679,6 +701,8 @@ class _LeaveOneOut:
 def _envious(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
     # Whether the agent affords a subset of ``target`` worth more than
     # ``own``, in her units. EFx and EF1 envy imply it.
+    if not target:
+        return own < 0
     costs = instance._int_costs
     row = instance._int_values[agent]
     return _beats(
@@ -690,19 +714,12 @@ def _envious(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
     )
 
 
-def _own_values(instance: Instance, allocation: Allocation) -> list[int]:
-    # Each agent's value of her own bundle, in her units. Every bundle's ids
-    # are checked here, before any of them is read as a target.
-    bundles = allocation.bundles
-    return [_int_value(instance, i, bundles[i]) for i in range(instance.num_agents)]
-
-
 def envies(
     instance: Instance, allocation: Allocation, agent: int, target: Iterable[int]
 ) -> bool:
     """Budget-aware envy: some affordable subset of ``target`` beats the own bundle."""
     instance.check_agent(agent)
-    own = _int_value(instance, agent, allocation.bundles[agent])
+    own = _own_values(instance, allocation)[agent]
     return _envious(instance, agent, instance.check_bundle(target), own)
 
 
@@ -722,6 +739,10 @@ def efx_envies(
     # No int answer beats the floor of own_value in her units unless it
     # beats own_value.
     own = own_value.numerator * instance._value_scales[agent] // own_value.denominator
+    return _efx_envies(instance, agent, target, own)
+
+
+def _efx_envies(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
     if not _envious(instance, agent, target, own):
         return False
     return _LeaveOneOut(instance, agent, target, own).efx_drop() is not None
@@ -745,15 +766,20 @@ class EfxViolation:
 def efx_violation(instance: Instance, allocation: Allocation) -> EfxViolation | None:
     """First EFx violation, scanning agents, then targets, then removed goods
     in ascending id order; None when the allocation is EFx."""
-    for i, own in enumerate(_own_values(instance, allocation)):
-        for j in range(instance.num_agents):
-            target = allocation.bundles[j]
+    return _efx_violation(instance, allocation.bundles, _own_values(instance, allocation))
+
+
+def _efx_violation(
+    instance: Instance, bundles: Sequence[Bundle], own_values: list[int]
+) -> EfxViolation | None:
+    for i, own in enumerate(own_values):
+        for j, target in enumerate(bundles):
             if i == j or not _envious(instance, i, target, own):
                 continue
             g = _LeaveOneOut(instance, i, target, own).efx_drop()
             if g is not None:
-                answer = knapsack_vmax(instance, i, target - {g}, instance.budgets[i])
-                return EfxViolation(i, j, tuple(sorted(answer.witness | {g})), g)
+                _, witness = _knapsack(instance, i, target - {g}, instance._int_budgets[i])
+                return EfxViolation(i, j, tuple(sorted(witness | {g})), g)
     return None
 
 
@@ -767,8 +793,7 @@ def is_ef1(instance: Instance, allocation: Allocation) -> bool:
     sub-bundles: no affordable nonempty subset of another bundle, without its
     least valued good, is worth more than the own bundle."""
     for i, own in enumerate(_own_values(instance, allocation)):
-        for j in range(instance.num_agents):
-            target = allocation.bundles[j]
+        for j, target in enumerate(allocation.bundles):
             if i == j or not _envious(instance, i, target, own):
                 continue
             if _LeaveOneOut(instance, i, target, own).ef1_envies():
@@ -778,8 +803,8 @@ def is_ef1(instance: Instance, allocation: Allocation) -> bool:
 
 def is_envy_free(instance: Instance, allocation: Allocation) -> bool:
     for i, own in enumerate(_own_values(instance, allocation)):
-        for j in range(instance.num_agents):
-            if i != j and _envious(instance, i, allocation.bundles[j], own):
+        for j, target in enumerate(allocation.bundles):
+            if i != j and _envious(instance, i, target, own):
                 return False
     return True
 
@@ -791,10 +816,8 @@ def nsw_product(instance: Instance, allocation: Allocation) -> Fraction:
     made here is between allocations of the same instance, for which the
     product order and the geometric-mean order coincide.
     """
-    n = instance.num_agents
     return Fraction(
-        math.prod([_int_value(instance, i, allocation.bundles[i]) for i in range(n)]),
-        math.prod(instance._value_scales),
+        math.prod(_own_values(instance, allocation)), math.prod(instance._value_scales)
     )
 
 
@@ -809,8 +832,7 @@ def normalize(instance: Instance, opt: Allocation) -> Instance:
     same row over the scale w, brought to lowest terms.
     """
     rows = []
-    for i, row in enumerate(instance._int_values):
-        opt_value = _int_value(instance, i, opt.bundles[i])
+    for i, (row, opt_value) in enumerate(zip(instance._int_values, _own_values(instance, opt))):
         if opt_value == 0:
             raise DegenerateOptimumError(
                 f"degenerate optimum: agent {i} values her optimum bundle at 0"

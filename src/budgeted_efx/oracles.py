@@ -23,8 +23,9 @@ from .model import (
     SearchCapExceededError,
     StructuralError,
     ZERO,
-    bundle_value,
-    efx_envies,
+    _efx_envies,
+    _int_value,
+    _own_values,
     to_rational,
 )
 
@@ -83,6 +84,11 @@ class _Counter:
             )
 
 
+def _suffix_sums(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    # For each row, [sum(row[idx:]) for idx in range(len(row) + 1)].
+    return [list(itertools.accumulate(reversed(row), initial=0))[::-1] for row in rows]
+
+
 def max_nsw_allocation(
     instance: Instance,
     agents: Sequence[int],
@@ -97,14 +103,53 @@ def max_nsw_allocation(
     cannot beat the incumbent: the product of each agent's value so far plus
     its value of every remaining good, and an exclusivity bound (AM-GM over
     weighted values, each remaining good to its one best-weighted owner).
-    Goods are decided in ascending id order and assignment codes are tried
+    Unless the tree is small, the incumbent starts just below the product of
+    an assignment found by a local search, so the bounds prune from the
+    first node. Goods are
+    decided in ascending id order and assignment codes are tried
     agents-first (ascending id) then "unallocated", so the first optimum
     found -- and hence the one returned -- has the lexicographically
-    smallest assignment vector.
+    smallest assignment vector. The cap counts the leaves reached.
     """
     found = _welfare_walk(instance, agents, pool, budget)
     assert found is not None
     return found[0]
+
+
+# A walk whose unpruned tree, (k + 1)^n leaves, is smaller costs less than
+# its seed: below 4 goods for 3 agents, 6 goods for 2.
+_SEED_FROM_LEAVES = 256
+
+
+def _seed_product(costs: list[int], caps: list[int], vals: list[list[int]]) -> int:
+    """The product of a budget-feasible assignment, so at most the optimum.
+    From no good assigned, passes move each good to an agent it fits and is
+    worth something to: at once if unassigned, from agent a to b if that
+    raises the product, (acc_a - v_a)(acc_b + v_b) > acc_a acc_b. At most
+    one pass more than there are goods."""
+    k = len(caps)
+    columns = list(zip(costs, zip(*vals)))
+    owner = [k] * len(costs)
+    spent, acc = [0] * k, [0] * k
+    for _ in range(len(columns) + 1):
+        moved = False
+        for idx, (cost, column) in enumerate(columns):
+            a = owner[idx]
+            for b, v in enumerate(column):
+                if b == a or not v or spent[b] + cost > caps[b]:
+                    continue
+                if a < k:
+                    if (acc[a] - column[a]) * (acc[b] + v) <= acc[a] * acc[b]:
+                        continue
+                    spent[a] -= cost
+                    acc[a] -= column[a]
+                owner[idx] = a = b
+                spent[b] += cost
+                acc[b] += v
+                moved = True
+        if not moved:
+            break
+    return math.prod(acc)
 
 
 def _welfare_walk(
@@ -113,10 +158,11 @@ def _welfare_walk(
     pool: Iterable[int],
     budget: SearchBudget,
     accept: Callable[[Instance, Allocation], bool] | None = None,
-) -> tuple[Allocation, Fraction] | None:
+) -> tuple[Allocation, int] | None:
     """The branch and bound behind :func:`max_nsw_allocation`: the first
     welfare-product maximizer, in lexicographic assignment order, among the
-    budget-feasible allocations that ``accept`` admits (all when None).
+    budget-feasible allocations that ``accept`` admits (all when None), with
+    its product in the agents' integer units (see below).
 
     ``accept`` runs only at leaves whose product strictly beats the
     incumbent, and a subtree is pruned only when one of its two bounds does
@@ -125,14 +171,19 @@ def _welfare_walk(
     good to one owner. Each bound caps every leaf below the node whatever
     ``accept`` says, so no pruned leaf could have replaced the incumbent.
 
+    When ``accept`` is None and :func:`_seed_product` finds a product h > 0
+    (on trees of ``_SEED_FROM_LEAVES`` leaves or more), the incumbent starts
+    at h - 1. Every optimum is worth at least h, so no bound prunes it and
+    the first one is still returned; fewer leaves are reached.
+
     The search runs on the instance's integer form. Costs and budgets share
     one scale, so every feasibility test is unchanged. Agent a's values are
     scaled by their own L_a. Scaling one agent's values by a constant c > 0
     multiplies both sides of every comparison the walk makes by the same
     factor: c for leaf products and the product bound, c^k for the
     exclusivity bound. So the pruning and the first optimum do not depend
-    on the scales, and the returned product is the best scaled product
-    divided by prod(L_a).
+    on the scales, and the product returned is the best product times
+    prod(L_a).
     """
     agents = tuple(sorted(set(agents)))
     if not agents:
@@ -146,14 +197,8 @@ def _welfare_walk(
 
     costs = [instance._int_costs[g] for g in goods]
     caps = [instance._int_budgets[a] for a in agents]
-    vals = [[instance._int_values[a][g] for g in goods] for a in agents]
-    value_scale = math.prod(instance._value_scales[a] for a in agents)
-
-    suffix = [[0] * (n + 1) for _ in range(k)]
-    for ai in range(k):
-        row = suffix[ai]
-        for idx in range(n - 1, -1, -1):
-            row[idx] = row[idx + 1] + vals[ai][idx]
+    vals = [[row[g] for g in goods] for row in map(instance._int_values.__getitem__, agents)]
+    suffix = _suffix_sums(vals)
 
     # The exclusivity bound: for weights w_a > 0, AM-GM gives
     # prod y_a <= (sum w_a y_a)^k / (k^k prod w_a), and each remaining good
@@ -162,11 +207,9 @@ def _welfare_walk(
     # (at least 1), make w_a Y_a the same for every agent, so no agent's
     # value scale dominates the sum.
     totals = [max(row[0], 1) for row in suffix]
-    weights = [math.prod(totals[:ai] + totals[ai + 1 :]) for ai in range(k)]
+    weights = [math.prod(totals) // total for total in totals]
     weighted = [[w * v for v in row] for w, row in zip(weights, vals)]
-    owned = [0] * (n + 1)
-    for idx in range(n - 1, -1, -1):
-        owned[idx] = owned[idx + 1] + max(row[idx] for row in weighted)
+    (owned,) = _suffix_sums([[max(col) for col in zip(*weighted)]])
     spread = k**k * math.prod(weights)
 
     def to_allocation(codes: Sequence[int]) -> Allocation:
@@ -184,6 +227,11 @@ def _welfare_walk(
     best_assign: tuple[int, ...] | None = None
     # best_product * spread once there is an incumbent.
     exclusive_cap = 0
+    if accept is None and (k + 1) ** n >= _SEED_FROM_LEAVES:
+        seed = _seed_product(costs, caps, vals)
+        if seed:
+            best_product = seed - 1
+            exclusive_cap = best_product * spread
 
     def walk(idx: int, weighted_acc: int) -> None:
         nonlocal best_product, best_assign, exclusive_cap
@@ -222,9 +270,10 @@ def _welfare_walk(
         walk(idx + 1, weighted_acc)
 
     walk(0, 0)
+    del walk  # it refers to itself: free the search now, not at a GC pass
     if best_assign is None:
         return None
-    return to_allocation(best_assign), Fraction(best_product, value_scale)
+    return to_allocation(best_assign), best_product
 
 
 def complete_efx_allocation(
@@ -268,10 +317,7 @@ def complete_efx_allocation(
     goods = sorted(pool)
     n = len(goods)
     vals = [[instance._int_values[a][g] for g in goods] for a in agents]
-    rest = [[0] * (n + 1) for _ in range(3)]
-    for ai in range(3):
-        for idx in range(n - 1, -1, -1):
-            rest[ai][idx] = rest[ai][idx + 1] + vals[ai][idx]
+    rest = _suffix_sums(vals)
     # Cell 3 * i + j holds v_i(P_j) and min_i(P_j). An empty part's minimum
     # exceeds every sum of agent i's values, so it never shows envy.
     total = [0] * 9
@@ -309,14 +355,16 @@ def complete_efx_allocation(
                 least[cell] = saved[ai]
         return False
 
-    if walk(0):
+    found = walk(0)
+    del walk  # as in _welfare_walk
+    if found:
         bundles: list[Bundle] = [frozenset()] * instance.num_agents
         for ai, a in enumerate(agents):
             bundles[a] = frozenset(parts[ai])
         # Cross-check the three agents against each other only: any other
         # agent of the instance holds nothing and is no part of the claim.
         if any(
-            efx_envies(instance, bundle_value(instance, a, bundles[a]), a, bundles[b])
+            _efx_envies(instance, a, bundles[b], _int_value(instance, a, bundles[a]))
             for a in agents
             for b in agents
             if a != b
@@ -393,9 +441,13 @@ def best_allocation_under_predicate(
     caps every leaf below a node whatever the predicate says. Ties resolve
     to the first optimum in lexicographic assignment order.
     """
-    return _welfare_walk(
-        instance, range(instance.num_agents), instance.all_goods(), budget, predicate
-    )
+    agents = range(instance.num_agents)
+    found = _welfare_walk(instance, agents, instance.all_goods(), budget, predicate)
+    return found and (found[0], Fraction(found[1], math.prod(instance._value_scales)))
+
+
+class _Dominated(Exception):
+    """Raised inside the Pareto walk at the first dominating leaf."""
 
 
 def is_pareto_efficient(
@@ -409,22 +461,13 @@ def is_pareto_efficient(
     three-good lower-bound instance would admit an allocation that is both
     EF1 and efficient, contradicting what this oracle exists to certify.)
     """
-    n_agents = instance.num_agents
-    goods = sorted(instance.all_goods())
-    base = [
-        bundle_value(instance, a, allocation.bundles[a]) for a in range(n_agents)
-    ]
-    n = len(goods)
-    suffix = [[ZERO] * (n + 1) for _ in range(n_agents)]
-    for a in range(n_agents):
-        row = suffix[a]
-        for idx in range(n - 1, -1, -1):
-            row[idx] = row[idx + 1] + instance.values[a][goods[idx]]
+    # On the integer form: each agent's sums over her own scale.
+    base = _own_values(instance, allocation)
+    rows = instance._int_values
+    n_agents, n = len(rows), instance.num_goods
+    suffix = _suffix_sums(rows)
     counter = _Counter(budget.max_assignments)
-    acc = [ZERO] * n_agents
-
-    class _Dominated(Exception):
-        pass
+    acc = [0] * n_agents
 
     def walk(idx: int) -> None:
         for a in range(n_agents):
@@ -435,10 +478,9 @@ def is_pareto_efficient(
             if any(acc[a] > base[a] for a in range(n_agents)):
                 raise _Dominated
             return
-        g = goods[idx]
         for code in range(n_agents):
             old = acc[code]
-            acc[code] = old + instance.values[code][g]
+            acc[code] = old + rows[code][idx]
             walk(idx + 1)
             acc[code] = old
         walk(idx + 1)
@@ -447,6 +489,8 @@ def is_pareto_efficient(
         walk(0)
     except _Dominated:
         return False
+    finally:
+        del walk  # as in _welfare_walk
     return True
 
 

@@ -23,13 +23,13 @@ from .model import (
     Instance,
     InvariantViolationError,
     StructuralError,
+    _envious,
     _from_form,
+    _int_value,
+    _knapsack,
     _lowest_terms,
-    bundle_value,
-    envies,
-    knapsack_vmax,
+    _values,
     normalize,
-    nsw_product,
 )
 from .oracles import (
     SearchBudget,
@@ -120,53 +120,48 @@ def preprocess(instance: Instance, opt: Allocation) -> tuple[Bundle, SetAside]:
     # Values are compared on the instance's integer form: one agent's on
     # her own row, sums across agents over the common denominator of their
     # scales, so every comparison reads as it would on the Fractions.
-    n = instance.num_agents
     costs, budgets = instance._int_costs, instance._int_budgets
     rows, scales = instance._int_values, instance._value_scales
-    # Each agent's options: her nominations, or nothing. An agent whose
+    common = math.lcm(*scales)
+    sentinel = instance.num_goods
+    # Each agent's options, as (weight over the common scale, good), good
+    # ``sentinel`` being nothing: her nominations, or nothing. An agent whose
     # nominations meet her optimum bundle keeps only those worth at least
     # the best of them that lies in it, and must be matched.
-    options: list[list[int | None]] = []
-    for i in range(n):
-        row = rows[i]
-        affordable = [g for g in range(instance.num_goods) if costs[g] <= budgets[i]]
-        affordable.sort(key=lambda g: (-row[g], g))
+    options: list[list[tuple[int, int]]] = []
+    for row, cap, scale, own in zip(rows, budgets, scales, opt.bundles, strict=True):
+        affordable = [g for g, c in enumerate(costs) if c <= cap]
+        # Stable, so equal values stay in ascending id order.
+        affordable.sort(key=row.__getitem__, reverse=True)
         nominations = affordable[:3]
-        own_opt = [row[g] for g in nominations if g in opt.bundles[i]]
-        if own_opt:
-            floor = max(own_opt)
-            options.append([g for g in nominations if row[g] >= floor])
+        floor = max([row[g] for g in nominations if g in own], default=None)
+        if floor is None:
+            nominations.append(sentinel)
         else:
-            options.append([*nominations, None])
+            nominations = [g for g in nominations if row[g] >= floor]
+        unit = common // scale
+        options.append([(row[g] * unit if g < sentinel else 0, g) for g in nominations])
 
-    common = math.lcm(*scales)
-    weights = [[v * (common // scale) for v in row] for row, scale in zip(rows, scales)]
-    sentinel = instance.num_goods
-    best_weight: int | None = None
-    best_combo: tuple[int | None, ...] | None = None
+    # The largest weight, ties to the smallest goods in agent order.
+    best: tuple[int, tuple[int, ...]] | None = None
     for combo in itertools.product(*options):
-        chosen = [g for g in combo if g is not None]
+        goods = tuple([g for _, g in combo])
+        chosen = [g for g in goods if g < sentinel]
         if len(chosen) != len(set(chosen)):
             continue
-        weight = sum(weights[i][g] for i, g in enumerate(combo) if g is not None)
-        tie = tuple(sentinel if g is None else g for g in combo)
-        if (
-            best_weight is None
-            or weight > best_weight
-            or (weight == best_weight and tie < best_tie)
-        ):
-            best_weight = weight
-            best_combo = combo
-            best_tie = tie
-    if best_combo is None:
+        weight = sum([w for w, _ in combo])
+        if best is None or weight > best[0] or (weight == best[0] and goods < best[1]):
+            best = weight, goods
+    if best is None:
         raise InvariantViolationError("preprocess infeasible: no admissible matching")
 
+    picks = tuple([g if g < sentinel else None for g in best[1]])
     values = tuple(
-        Fraction(rows[i][g], scales[i]) if g is not None else Fraction(0)
-        for i, g in enumerate(best_combo)
+        [Fraction(row[g], scale) if g is not None else Fraction(0)
+         for row, scale, g in zip(rows, scales, picks)]
     )
-    pool = instance.all_goods() - {g for g in best_combo if g is not None}
-    return pool, SetAside(tuple(best_combo), values)
+    pool = instance.all_goods() - {g for g in picks if g is not None}
+    return pool, SetAside(picks, values)
 
 
 def trim_to_budget_share(
@@ -180,21 +175,23 @@ def trim_to_budget_share(
     """
     # On the integer form: a bundle fits the 1/n share of budget B when n
     # times its cost is at most B, and one agent's densities compare as
-    # her integer values over the integer costs.
+    # her integer values over the integer costs. With C the largest cost,
+    # two different densities v/c differ by at least 1/C^2, so the keys
+    # floor(v * C^2 / c) order them exactly.
     budgets = set(instance._int_budgets)
     if len(budgets) != 1:
         raise StructuralError("trimming requires equal budgets")
     (budget,) = budgets
     n = instance.num_agents
     costs = instance._int_costs
+    square = max(costs, default=0) ** 2
     trimmed: list[Bundle] = []
-    for i in range(n):
-        row = instance._int_values[i]
+    for i, row in enumerate(instance._int_values):
         kept = set(instance.check_bundle(opt_on_pool.bundles[i]))
         spent = sum([costs[g] for g in kept])
         while n * spent > budget:
             droppable = [g for g in kept if costs[g] > 0]
-            g = min(droppable, key=lambda h: (Fraction(row[h], costs[h]), h))
+            g = min(droppable, key=lambda h: (row[h] * square // costs[h], h))
             kept.remove(g)
             spent -= costs[g]
         trimmed.append(frozenset(kept))
@@ -223,22 +220,25 @@ def equal_budget_procedure(
 
     agents = range(instance.num_agents)
     # 3-cycles first, then mutual pairs; a pair is an envy cycle of length 2.
-    cycles = [*itertools.permutations(agents, 3), *itertools.combinations(agents, 2)]
+    # Each cycle is its edges (a, b): a envies the bundle of b.
+    cycles = [
+        list(zip(c, c[1:] + c[:1]))
+        for c in (*itertools.permutations(agents, 3), *itertools.combinations(agents, 2))
+    ]
     for _ in range(ENVY_SWAP_CAP):
         bundles = allocation.bundles
-        envy = [
-            [i != j and envies(instance, allocation, i, bundles[j]) for j in agents]
-            for i in agents
-        ]
-        cycle = next(
-            (c for c in cycles if all(envy[a][b] for a, b in zip(c, c[1:] + c[:1]))),
-            None,
-        )
+        envy = {
+            (i, j)
+            for i, own in enumerate(_values(instance, bundles))
+            for j in agents
+            if i != j and _envious(instance, i, bundles[j], own)
+        }
+        cycle = next((c for c in cycles if envy.issuperset(c)), None)
         if cycle is None:
             break
         # Each agent on the cycle takes the bundle it envies.
         moved = list(bundles)
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        for a, b in cycle:
             moved[a] = bundles[b]
         allocation = Allocation(tuple(moved), allocation.scope)
     else:
@@ -288,18 +288,15 @@ def else_procedure(
     budgets = instance._int_budgets
     if not (budgets[0] <= budgets[1] <= budgets[2]):
         raise StructuralError("agents must be indexed by ascending budget")
-    b_low = Fraction(budgets[0], instance._cost_scale)
+    low = budgets[0]
 
-    x1 = knapsack_vmax(instance, 0, pool, b_low).witness
+    x1 = _knapsack(instance, 0, pool, low)[1]
     rest = pool - x1
     opt_rest = max_nsw_allocation(instance, (1, 2), rest, search)
     pair_result = efx_2a(instance, (1, 2), opt_rest)
     x2 = pair_result.allocation.bundles[1]
     x3 = pair_result.allocation.bundles[2]
-
-    m2 = knapsack_vmax(instance, 1, pool, b_low).value
-    m3 = knapsack_vmax(instance, 2, pool, b_low).value
-    a = alpha.alpha
+    _, (above2, above3) = _monopoly_low(instance, pool, alpha)
 
     def assemble(by_agent: dict[int, Bundle]) -> Allocation:
         bundles = [frozenset()] * instance.num_agents
@@ -307,16 +304,16 @@ def else_procedure(
             bundles[agent] = bundle
         return Allocation(tuple(bundles), pool)
 
-    if m2 < a and m3 < a:
+    if not above2 and not above3:
         return assemble({0: x1, 1: x2, 2: x3}), ElseTrace(1, False)
 
     # Relabel the higher-budget agents so the one below the threshold is "3".
-    swapped = m3 >= a
+    swapped = above3
     hi, lo = (2, 1) if swapped else (1, 2)
     x_hi = x3 if swapped else x2
     x_lo = x2 if swapped else x3
 
-    if bundle_value(instance, hi, x_hi) >= bundle_value(instance, hi, x1):
+    if _int_value(instance, hi, x_hi) >= _int_value(instance, hi, x1):
         return assemble({0: x1, 1: x2, 2: x3}), ElseTrace(2, swapped)
 
     empty_and_x1 = assemble({0: frozenset(), hi: x1})
@@ -325,13 +322,13 @@ def else_procedure(
     x_hi_share = share_result.allocation.bundles[hi]
 
     split = round_robin_self_split(instance, lo, x_lo)
-    hi_first = bundle_value(instance, hi, split.first)
-    hi_second = bundle_value(instance, hi, split.second)
+    hi_first = _int_value(instance, hi, split.first)
+    hi_second = _int_value(instance, hi, split.second)
     dropped = split.first if hi_first >= hi_second else split.second
     x_lo_kept = x_lo - dropped
 
-    grab = knapsack_vmax(instance, 0, x_lo_kept, b_low).witness
-    if bundle_value(instance, 0, x1_share) < bundle_value(instance, 0, grab):
+    grab = _knapsack(instance, 0, x_lo_kept, low)[1]
+    if _int_value(instance, 0, x1_share) < _int_value(instance, 0, grab):
         x1_final = grab
         x_lo_kept = x_lo_kept - grab
     else:
@@ -341,6 +338,18 @@ def else_procedure(
         assemble({0: x1_final, hi: x_hi_share, lo: x_lo_kept}),
         ElseTrace(3, swapped),
     )
+
+
+def _monopoly_low(
+    instance: Instance, pool: Bundle, alpha: AlphaParams
+) -> tuple[list[int], list[bool]]:
+    """Agent 1's and agent 2's best values of ``pool`` at the lowest budget
+    (agent 0's), in their units, and whether each reaches alpha = p/q:
+    v / scale >= p / q exactly when v * q >= p * scale."""
+    low = instance._int_budgets[0]
+    lows = [_knapsack(instance, i, pool, low)[0] for i in (1, 2)]
+    p, q = alpha.alpha.as_integer_ratio()
+    return lows, [v * q >= p * instance._value_scales[i] for i, v in zip((1, 2), lows)]
 
 
 def _permute_instance(instance: Instance, order: Sequence[int]) -> Instance:
@@ -386,7 +395,9 @@ def efx_3a(
         raise StructuralError("this procedure handles exactly 3 agents")
 
     opt = max_nsw_allocation(instance, range(3), instance.all_goods(), search)
-    opt_product = nsw_product(instance, opt)
+    # Welfare products are ints over the product of the value scales.
+    scale = math.prod(instance._value_scales)
+    opt_product = Fraction(math.prod(_values(instance, opt.bundles)), scale)
 
     if instance.num_goods <= 3:
         return SolveResult(
@@ -410,12 +421,10 @@ def efx_3a(
     opt_work = _permute_allocation(opt, roles)
 
     pool, setaside = preprocess(work, opt_work)
-    b_low = Fraction(work._int_budgets[0], work._cost_scale)
-    m2 = knapsack_vmax(work, 1, pool, b_low).value
-    m3 = knapsack_vmax(work, 2, pool, b_low).value
+    lows, above = _monopoly_low(work, pool, alpha)
 
     notes: list[str] = []
-    if m2 >= alpha.alpha and m3 >= alpha.alpha:
+    if all(above):
         branch = "equal_budget"
         reduced = _equal_budgets(work)
         opt_on_pool = max_nsw_allocation(reduced, range(3), pool, search)
@@ -433,17 +442,14 @@ def efx_3a(
                 "constant backed by the bound derivation"
             )
 
+    # Each agent takes her set-aside good when she values it above her
+    # bundle, in her units of the permuted instance.
     taken: list[bool] = []
     final_bundles = list(result.bundles)
-    for i in range(3):
-        s = setaside.goods[i]
-        if s is not None and setaside.values[i] > bundle_value(
-            work, i, final_bundles[i]
-        ):
+    for i, (s, row) in enumerate(zip(setaside.goods, work._int_values)):
+        taken.append(s is not None and row[s] > _int_value(work, i, final_bundles[i]))
+        if taken[-1]:
             final_bundles[i] = frozenset({s})
-            taken.append(True)
-        else:
-            taken.append(False)
 
     back = [0, 0, 0]
     for pos, agent in enumerate(roles):
@@ -451,7 +457,8 @@ def efx_3a(
     final = Allocation(
         tuple(final_bundles[back[i]] for i in range(3)), instance.all_goods()
     )
-    final_product = nsw_product(instance, final)
+    final_product = Fraction(math.prod(_values(instance, final.bundles)), scale)
+    m2, m3 = (Fraction(v, work._value_scales[i]) for i, v in zip((1, 2), lows))
 
     return SolveResult(
         allocation=final,

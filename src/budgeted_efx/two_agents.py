@@ -18,11 +18,12 @@ from .model import (
     Instance,
     InvariantViolationError,
     StructuralError,
+    _efx_envies,
+    _int_cost,
+    _int_value,
+    _knapsack,
     _LeaveOneOut,
-    bundle_cost,
-    bundle_value,
-    efx_envies,
-    knapsack_vmax,
+    _own_values,
 )
 from .oracles import leximin_pp_split
 
@@ -41,7 +42,8 @@ class FeasibilityGraph:
 
     Agent ``i`` has an edge to bundle ``j`` exactly when holding her best
     affordable subset of bundle ``j`` she would not EFx-envy any of the
-    listed bundles. ``values[i][j]`` caches that best affordable value.
+    listed bundles. ``values[i][j]`` caches that best affordable value, as a
+    Fraction; the pair procedure's own graphs hold it in agent ``i``'s units.
     """
 
     agents: tuple[int, ...]
@@ -84,23 +86,34 @@ def build_feasibility_graph(
         if b & taken:
             raise StructuralError("graph bundles must be pairwise disjoint")
         taken |= b
+    for agent in agents:
+        instance.check_agent(agent)
+    graph = _graph(instance, agents, checked)
+    scales = [instance._value_scales[agent] for agent in agents]
+    values = tuple(tuple([Fraction(v, s) for v in row]) for s, row in zip(scales, graph.values))
+    return FeasibilityGraph(graph.agents, checked, graph.edges, values)
 
-    values: list[tuple[Fraction, ...]] = []
+
+def _graph(
+    instance: Instance, agents: Sequence[int], bundles: tuple[Bundle, ...]
+) -> FeasibilityGraph:
+    # The feasibility graph of checked agents and bundles, its values in
+    # each agent's units.
+    values: list[tuple[int, ...]] = []
     edges: set[tuple[int, int]] = set()
     for pos, agent in enumerate(agents):
-        instance.check_agent(agent)
-        row: list[Fraction] = []
-        threshold = Fraction(0)
-        for b in checked:
+        row: list[int] = []
+        threshold = 0
+        for b in bundles:
             answers = _LeaveOneOut(instance, agent, b)
-            row.append(answers.fraction(answers.best))
+            row.append(answers.best)
             after_drop = max((best for _, best in answers.without(False)), default=0)
-            threshold = max(threshold, answers.fraction(after_drop))
+            threshold = max(threshold, after_drop)
         for j, achievable in enumerate(row):
             if achievable >= threshold:
                 edges.add((pos, j))
         values.append(tuple(row))
-    return FeasibilityGraph(tuple(agents), checked, frozenset(edges), tuple(values))
+    return FeasibilityGraph(tuple(agents), bundles, frozenset(edges), tuple(values))
 
 
 def select_perfect_matching(
@@ -166,17 +179,18 @@ def efx_2a(
     instance.check_agent(b)
     if a == b:
         raise StructuralError("pair must name two distinct agents")
+    # The one check of the allocation; then ints, in each agent's units.
+    own_values = _own_values(instance, allocation)
+    budgets = instance._int_budgets
     xa, xb = allocation.bundles[a], allocation.bundles[b]
-    if bundle_cost(instance, xa) > instance.budgets[a]:
+    if _int_cost(instance, xa) > budgets[a]:
         raise StructuralError(f"input bundle of agent {a} exceeds her budget")
-    if bundle_cost(instance, xb) > instance.budgets[b]:
+    if _int_cost(instance, xb) > budgets[b]:
         raise StructuralError(f"input bundle of agent {b} exceeds her budget")
     scope = xa | xb
 
-    va = bundle_value(instance, a, xa)
-    vb = bundle_value(instance, b, xb)
-    a_envies = efx_envies(instance, va, a, xb)
-    b_envies = efx_envies(instance, vb, b, xa)
+    a_envies = _efx_envies(instance, a, xb, own_values[a])
+    b_envies = _efx_envies(instance, b, xa, own_values[b])
 
     def result(bundle_a, bundle_b, matched, branch, envier, iterations):
         bundles: list[Bundle] = [frozenset()] * instance.num_agents
@@ -199,9 +213,12 @@ def efx_2a(
         # the best achievable), so the higher-budget agent never leaves
         # zero-value crumbs behind and the left-out part stays confined to
         # the lower-budget agent's matched bundle.
-        if bundle_cost(instance, bundle) <= instance.budgets[agent]:
+        if _int_cost(instance, bundle) <= budgets[agent]:
             return bundle
-        return knapsack_vmax(instance, agent, bundle, instance.budgets[agent]).witness
+        return _knapsack(instance, agent, bundle, budgets[agent])[1]
+
+    def best_value(agent: int, bundle: Bundle) -> int:
+        return _knapsack(instance, agent, bundle, budgets[agent])[0]
 
     if not a_envies and not b_envies:
         return result(xa, xb, (xa, xb), "already_efx", None, 0)
@@ -214,11 +231,9 @@ def efx_2a(
     envier, envied = (a, b) if a_envies else (b, a)
     x_envier = allocation.bundles[envier]
     x_envied = allocation.bundles[envied]
-    own_value = bundle_value(instance, envier, x_envier)
-    envied_value = bundle_value(instance, envied, x_envied)
-    reachable = knapsack_vmax(
-        instance, envier, x_envied, instance.budgets[envier]
-    ).value
+    own_value = own_values[envier]
+    envied_value = own_values[envied]
+    reachable = best_value(envier, x_envied)
 
     def floors_hold(graph: FeasibilityGraph, matching: dict[int, int]) -> bool:
         return (
@@ -227,12 +242,7 @@ def efx_2a(
         )
 
     def split_bundles() -> tuple[Bundle, Bundle, Bundle]:
-        budget_envier = instance.budgets[envier]
-
-        def achievable(part: Bundle) -> Fraction:
-            return knapsack_vmax(instance, envier, part, budget_envier).value
-
-        split = leximin_pp_split(x_envied, achievable)
+        split = leximin_pp_split(x_envied, lambda part: best_value(envier, part))
         return (x_envier, split.first, split.second)
 
     def certify(bundles: tuple[Bundle, ...], be: int, bd: int):
@@ -240,37 +250,31 @@ def efx_2a(
         envier and ``bd`` to the envied; returns the sort key or None."""
         take_e = take_best_affordable(envier, bundles[be])
         take_d = take_best_affordable(envied, bundles[bd])
-        val_e = bundle_value(instance, envier, take_e)
-        val_d = bundle_value(instance, envied, take_d)
+        val_e = _int_value(instance, envier, take_e)
+        val_d = _int_value(instance, envied, take_d)
         if val_e < own_value or 2 * val_d < envied_value:
             return None
-        if efx_envies(instance, val_e, envier, take_d):
+        if _efx_envies(instance, envier, take_d, val_e):
             return None
-        if efx_envies(instance, val_d, envied, take_e):
+        if _efx_envies(instance, envied, take_e, val_d):
             return None
         leftover = (bundles[be] - take_e) | (bundles[bd] - take_d)
         third = next(
             bundles[j] for j in range(3) if j not in (be, bd)
         )
         for agent, val in ((envier, val_e), (envied, val_d)):
-            if (
-                knapsack_vmax(instance, agent, third, instance.budgets[agent]).value
-                > val
-            ):
+            if best_value(agent, third) > val:
                 return None
         lower = envier if (
-            (instance.budgets[envier], envier) < (instance.budgets[envied], envied)
+            (budgets[envier], envier) < (budgets[envied], envied)
         ) else envied
         higher = envied if lower == envier else envier
         low_val, high_val = (
             (val_e, val_d) if lower == envier else (val_d, val_e)
         )
-        if (
-            knapsack_vmax(instance, lower, leftover, instance.budgets[lower]).value
-            > low_val
-        ):
+        if best_value(lower, leftover) > low_val:
             return None
-        if efx_envies(instance, high_val, higher, leftover):
+        if _efx_envies(instance, higher, leftover, high_val):
             return None
         return (val_d, val_e)
 
@@ -299,13 +303,13 @@ def efx_2a(
         return best_pick
 
     iterations = 0
-    if own_value >= Fraction(1, 2) * reachable:
+    if 2 * own_value >= reachable:
         branch = "removal_loop"
         kept = set(x_envied)
         reserve: set[int] = set()
         envier_vals = instance._int_values[envier]
         while True:
-            graph = build_feasibility_graph(
+            graph = _graph(
                 instance,
                 (envier, envied),
                 (x_envier, frozenset(kept), frozenset(reserve)),
@@ -319,7 +323,7 @@ def efx_2a(
             iterations += 1
     else:
         branch = "leximin_split"
-        graph = build_feasibility_graph(instance, (envier, envied), split_bundles())
+        graph = _graph(instance, (envier, envied), split_bundles())
         matching = select_perfect_matching(graph, envied, envier)
 
     if matching is not None and floors_hold(graph, matching):

@@ -697,6 +697,40 @@ class TestUsage:
         assert main(["solve"]) == 1
 
 
+class TestArgvDispatch:
+    """``main`` hands argv to the named subcommand's parser. For every argv,
+    what it does must be what a parser from ``build_parser()`` does with the
+    whole argv: the same namespace when that parses, and the same exit code,
+    stdout and stderr when it does not."""
+
+    ARGVS = {
+        "empty": [],
+        "help": ["-h"],
+        "unknown-word": ["frob"],
+        "solve-help": ["solve", "-h"],
+        "no-algorithm": ["solve", "x.json"],
+        "bad-choice": ["solve", "x.json", "--algorithm", "efx9"],
+        "abbreviated": ["solve", "x.json", "--algo", "efx2"],
+        "bad-cap": ["solve", "x.json", "--algorithm", "efx2", "--cap", "x"],
+        "trailing-word": ["solve", "x.json", "--algorithm", "efx2", "extra"],
+        "trailing-option": ["verify", "x.json", "a.json", "--frob"],
+        "bench-choice": ["bench", "--suite", "nope"],
+        "full": ["solve", "x.json", "--algorithm", "efx3", "--alpha", "1/40", "--cap", "9",
+                 "--out", "r.json"],
+    }
+
+    @pytest.mark.parametrize("argv", list(ARGVS.values()), ids=list(ARGVS))
+    def test_main_parses_as_the_full_parser(self, argv, capsys):
+        try:
+            expected = vars(cli_mod.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            code = cli_mod.EXIT_USAGE if exc.code not in (0, None) else 0
+            reference = capsys.readouterr()
+            assert run(capsys, *argv) == (code, reference.out, reference.err)
+        else:
+            assert vars(cli_mod._parse_args(argv)) == expected
+
+
 class TestOneParser:
     """``main`` parses with one parser built at import."""
 

@@ -25,8 +25,8 @@ from budgeted_efx.model import (
     nsw_product,
     to_rational,
 )
-from budgeted_efx.oracles import knapsack_by_enumeration
-from budgeted_efx.two_agents import FeasibilityGraph, build_feasibility_graph
+from budgeted_efx.oracles import is_pareto_efficient, knapsack_by_enumeration
+from budgeted_efx.two_agents import FeasibilityGraph, build_feasibility_graph, efx_2a
 
 from helpers import (
     build,
@@ -221,6 +221,35 @@ class TestFairnessPredicates:
         alloc = Allocation((frozenset({0}), frozenset({5})), frozenset({0, 5}))
         with pytest.raises(StructuralError, match="unknown good id 5"):
             predicate(t1, alloc)
+
+
+class TestAllocationSize:
+    """An allocation with one bundle per agent is checked once, on entry;
+    too few bundles used to raise a raw IndexError, and extra bundles were
+    ignored (is_efx said True, nsw_product said 2)."""
+
+    INSTANCE = build((1, 1, 1), (2, 2), ((1, 2, 3), (3, 2, 1)))
+    ENTRY_POINTS = {
+        "is_efx": is_efx,
+        "is_ef1": is_ef1,
+        "is_envy_free": is_envy_free,
+        "efx_violation": efx_violation,
+        "envies": lambda inst, alloc: envies(inst, alloc, 0, {1}),
+        "nsw_product": nsw_product,
+        "is_pareto_efficient": is_pareto_efficient,
+        "efx_2a": lambda inst, alloc: efx_2a(inst, (0, 1), alloc),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bundles", [({0},), ({0}, {1}, {2})], ids=["fewer", "more"])
+    def test_a_mis_sized_allocation_is_a_structural_error(self, entry, bundles):
+        alloc = Allocation(tuple(frozenset(b) for b in bundles), self.INSTANCE.all_goods())
+        with pytest.raises(StructuralError, match=f"expected 2 bundles, got {len(bundles)}"):
+            self.ENTRY_POINTS[entry](self.INSTANCE, alloc)
+
+    def test_make_allocation_gives_the_same_message(self):
+        with pytest.raises(StructuralError, match="expected 2 bundles, got 3"):
+            make_allocation(self.INSTANCE, [{0}, {1}, {2}])
 
 
 class TestWelfareProduct:

@@ -204,18 +204,22 @@ class TestExclusivityBoundEdges:
 # agents, None for t1, or a built instance; max_nsw_allocation leaves,
 # best_allocation_under_predicate(is_efx) leaves). Each count is the
 # number of ticks of the current walk: a cap of that many succeeds and one
-# less raises. Pruning on ``bound < best`` instead of ``bound <= best``
-# changes the counts of 3x6 and 3x5 (the product bound, where a node's bound
-# equals the incumbent) and of the equal-values instance (the exclusivity
-# bound, which AM-GM makes tight when every agent values every good alike);
-# each mutant changes both tests' counts on one of these instances.
+# less raises. The max_nsw_allocation walk starts from its seeded
+# incumbent, so it reaches fewer leaves than the predicate walk. Pruning on
+# ``bound < best`` instead of ``bound <= best`` changes the max_nsw count of
+# 3x6 and the predicate count of 3x5 (the product bound, where a node's
+# bound equals the incumbent), and both counts of the equal-values instance
+# (the exclusivity bound, which AM-GM makes tight when every agent values
+# every good alike); so each test catches both mutants. Leaving the
+# exclusivity cap at 0 after seeding changes the max_nsw counts of 3x6,
+# 3x7, 3x8 and equal-values.
 EQUAL_VALUES = build([1] * 6, [3] * 3, [[1] * 6] * 3)
 SEARCH_SPEND = [
     (None, 4, 4),
-    ((17, 6), 63, 103),
-    ((16, 7), 68, 316),
-    ((17, 8), 64, 308),
-    ((1, 5), 32, 212),
+    ((17, 6), 60, 103),
+    ((16, 7), 8, 316),
+    ((17, 8), 4, 308),
+    ((1, 5), 12, 212),
     (EQUAL_VALUES, 28, 46),
 ]
 SPEND_IDS = ["t1", "3x6", "3x7", "3x8", "3x5", "equal-values"]

@@ -1,14 +1,17 @@
 """Property tests for the invariants the solvers rely on."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from budgeted_efx import model
+from budgeted_efx import cli, model, oracles
+from budgeted_efx.instances import rational_from_json, rational_to_json
 from budgeted_efx.model import (
     Allocation,
+    DegenerateOptimumError,
     bundle_cost,
     bundle_value,
     efx_envies,
@@ -20,9 +23,11 @@ from budgeted_efx.model import (
     nsw_product,
 )
 from budgeted_efx.oracles import (
+    SearchBudget,
     knapsack_by_enumeration,
     leximin_pp_split,
     max_nsw_allocation,
+    max_nsw_by_enumeration,
 )
 from budgeted_efx.two_agents import build_feasibility_graph, efx_2a, select_perfect_matching
 
@@ -288,3 +293,122 @@ def test_pair_procedure_guarantees_hold_from_the_optimal_seed(inst):
         envied = 1 - result.envier
         assert out[result.envier] >= seed_vals[result.envier]
         assert 2 * out[envied] >= seed_vals[envied]
+
+
+# Budgets are zero often: a zero budget leaves an agent only free goods.
+budgets_with_zeros = st.one_of(st.just(F(0)), rationals)
+
+
+@st.composite
+def welfare_instances(draw):
+    """2 agents and 0 to 8 goods, or 3 agents and 0 to 7 goods: the
+    unpruned enumeration visits (k + 1)^m assignments."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(0, 8 if n == 2 else 7))
+    costs = [draw(rationals) for _ in range(m)]
+    budgets = [draw(budgets_with_zeros) for _ in range(n)]
+    values = [[draw(rationals) for _ in range(m)] for _ in range(n)]
+    return build(costs, budgets, values)
+
+
+THREE_BY_EIGHT = build(
+    [F(1, 2), 3, 0, F(7, 4), 2, F(5, 3), 1, 4],
+    [F(9, 2), 0, 6],
+    [
+        [3, F(1, 2), 0, 5, 2, 1, F(7, 3), 4],
+        [2, 2, F(3, 4), 0, 1, 6, 1, F(1, 2)],
+        [F(5, 2), 0, 4, 3, F(2, 3), 1, 2, 2],
+    ],
+)
+
+
+def _welfare_form(inst):
+    # The seed's inputs: costs, budgets and value rows on the integer form.
+    goods = range(inst.num_goods)
+    return (
+        [inst._int_costs[g] for g in goods],
+        list(inst._int_budgets),
+        [[row[g] for g in goods] for row in inst._int_values],
+    )
+
+
+@example(THREE_BY_EIGHT)
+@settings(deadline=None, max_examples=80)
+@given(welfare_instances())
+def test_the_seeded_welfare_walk_matches_the_enumeration(inst):
+    """The seed starts the incumbent below the optimum, so the walk still
+    returns the first optimum in assignment order."""
+    agents, goods = range(inst.num_agents), inst.all_goods()
+    expected, product = max_nsw_by_enumeration(inst, agents, goods)
+    found = max_nsw_allocation(inst, agents, goods)
+    assert found.bundles == expected.bundles
+    assert nsw_product(inst, found) == product
+
+
+@example(THREE_BY_EIGHT)
+@settings(deadline=None, max_examples=200)
+@given(welfare_instances())
+def test_the_seed_never_exceeds_the_optimum(inst):
+    """Against the walk's optimum, which the test above pins to the
+    enumeration's."""
+    agents = range(inst.num_agents)
+    product = nsw_product(inst, max_nsw_allocation(inst, agents, inst.all_goods()))
+    seed = oracles._seed_product(*_welfare_form(inst))
+    assert seed <= product * math.prod(inst._value_scales)
+
+
+@settings(deadline=None, max_examples=200)
+@given(instance_with_allocation())
+def test_report_fields_match_their_fraction_sums(data):
+    """The report's integer pass against Fraction sums, on any assignment,
+    budget-feasible or not."""
+    inst, allocation = data
+    report, _ = cli._base_report(inst, "any", allocation)
+    values = [value_of(inst, i, b) for i, b in enumerate(allocation.bundles)]
+    costs = [cost_of(inst, b) for b in allocation.bundles]
+    assert report["agent_values"] == [rational_to_json(v) for v in values]
+    assert report["agent_costs"] == [rational_to_json(c) for c in costs]
+    assert report["budgets"] == [rational_to_json(b) for b in inst.budgets]
+    assert report["nsw_product"] == rational_to_json(math.prod(values, start=F(1)))
+    assert report["budget_feasible"] == all(map(operator.le, costs, inst.budgets))
+    assert report["efx"]["pass"] == is_efx(inst, allocation)
+
+
+def _check(name, lhs, rhs):
+    return {
+        "name": name,
+        "lhs": rational_to_json(lhs),
+        "rhs": rational_to_json(rhs),
+        "pass": lhs >= rhs,
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(instances(n_agents=st.just(2), n_goods=st.integers(0, 6), numbers=rationals))
+def test_pair_ratio_checks_match_fraction_arithmetic(inst):
+    report = cli._solve_report(inst, "efx2", SearchBudget())
+    seed = [value_of(inst, i, b) for i, b in enumerate(report["seed_allocation"]["bundles"])]
+    out = [value_of(inst, i, b) for i, b in enumerate(report["allocation"]["bundles"])]
+    expected = [_check("product_at_least_half_of_seed", out[0] * out[1] * 2, seed[0] * seed[1])]
+    envier = report["trace"]["envier"]
+    if envier is not None:
+        envied = 1 - envier
+        expected.append(_check("envier_keeps_input_value", out[envier], seed[envier]))
+        expected.append(_check("envied_keeps_half_input_value", out[envied] * 2, seed[envied]))
+    assert report["seed_product"] == rational_to_json(seed[0] * seed[1])
+    assert report["ratio_checks"] == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(instances(n_agents=st.just(3), n_goods=st.integers(0, 6), numbers=rationals))
+def test_three_agent_ratio_check_matches_fraction_arithmetic(inst):
+    try:
+        report = cli._solve_report(inst, "efx3", SearchBudget())
+    except DegenerateOptimumError:
+        return  # some agent values her optimum bundle at 0
+    bundles = report["allocation"]["bundles"]
+    final = math.prod((value_of(inst, i, b) for i, b in enumerate(bundles)), start=F(1))
+    opt = rational_from_json(report["opt_product"])
+    assert report["ratio_checks"] == [
+        _check("product_at_least_opt_over_171_cubed", final, opt / 171**3)
+    ]
