@@ -11,9 +11,12 @@ side's runs, median and quartiles (``statistics.quantiles(n=4)``), the pairs
 the change won (ties count for neither), the parent's quartile spread,
 whether the change's median beats the parent's by more than that spread,
 and whether it is no worse than the parent's by more than the metric's
-bound. It also writes each pair's change/parent ratio and the median of
-those ratios: drift of the host moves both runs of a pair together, so the
-ratios scatter less than either side's runs. It records whether the
+bound. A metric is ``resolved`` when the parent's quartile spread is at
+most the bound times the parent's median, or when every run of the change
+beats every run of the parent; an unresolved metric's ``within_bound`` says
+nothing either way. It also writes each pair's change/parent ratio and the
+median of those ratios: drift of the host moves both runs of a pair
+together, so the ratios scatter less than either side's runs. It records whether the
 digests over every operation agree in each pair. The result goes under
 ``workloads.W`` of the output file; the file's other keys are kept, so one
 file can collect several workloads.
@@ -81,6 +84,8 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "gain_beyond_spread": better(c["median"], p["median"])
         and abs(c["median"] - p["median"]) > spread,
         "within_bound": not better(limit, c["median"]),
+        "resolved": spread <= bound * p["median"]
+        or all(better(b, a) for a in parent for b in change),
     }
 
 

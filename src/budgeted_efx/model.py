@@ -11,12 +11,14 @@ first read. The bundle sums, the knapsack kernels, the searches in
 pipeline read and write that form; results leave as Fractions.
 
 The knapsack kernels are the suffix Pareto frontiers read by
-``knapsack_vmax`` and by the leave-one-out engine ``_LeaveOneOut``, and one
-bounded decision, ``_beats``, that answers whether an agent envies a
-bundle. The envy, EFx and EF1 predicates ask ``_beats`` first and build an
-engine only for an agent that envies; the feasibility graph builds one for
-every bundle. Floats and booleans are rejected at the boundary because
-every predicate in this package compares exact sums.
+``knapsack_vmax``, and one bounded decision, ``_beats``, that answers
+whether an agent affords a subset of a bundle worth more than a value. The
+envy, EFx and EF1 predicates need nothing else: an envied bundle the agent
+cannot afford whole is EFx-envied (the budget binds after the removal, and
+each best affordable subset misses some good of it), and of an affordable
+one she keeps all but the dropped good, a sum. EF1 asks ``_beats`` once per
+good of an envied unaffordable bundle. Floats and booleans are rejected at
+the boundary because every predicate in this package compares exact sums.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Bundle = frozenset
 RationalLike = Union[Fraction, int, str]
@@ -542,22 +544,6 @@ def _best_within(front: list, room: int) -> int:
     return front[bisect_right(front, room, key=itemgetter(0)) - 1][1]
 
 
-def _best_of_two(left: list, right: list, cap: int) -> int:
-    # The largest v1 + v2 over (c1, v1) in ``left`` and (c2, v2) in
-    # ``right`` with c1 + c2 <= cap. Both frontiers start at cost 0.
-    j = len(right) - 1
-    best = 0
-    for c, v in left:
-        if c > cap:
-            break
-        room = cap - c
-        while right[j][0] > room:
-            j -= 1
-        if v + right[j][1] > best:
-            best = v + right[j][1]
-    return best
-
-
 def _beats(costs: list, vals: list, cap: int, own: int, agent: int) -> bool:
     """Whether some subset of the goods, at cost at most ``cap``, is worth
     more than ``own``.
@@ -624,80 +610,6 @@ def _beats(costs: list, vals: list, cap: int, own: int, agent: int) -> bool:
     return False
 
 
-class _LeaveOneOut:
-    """Knapsack answers for one agent over one bundle T: the best value of an
-    affordable subset of T, and for each good h of T the best value of an
-    affordable subset of T - h.
-
-    Answers are ints in the agent's units, the instance's integer form of
-    its values, and so is ``own``, the value the EFx and EF1 answers are
-    compared with. When T is affordable whole the answers are sums.
-    Otherwise they are read off the suffix frontiers of T
-    (:func:`_suffix_frontiers`) and a running prefix frontier; the best
-    value of T - h merges the frontiers on either side of h. The predicates
-    build an engine only for an agent that envies T, which :func:`_beats`
-    decides first.
-    """
-
-    def __init__(self, instance: Instance, agent: int, target: Bundle, own: int = 0) -> None:
-        self.goods = goods = sorted(target)
-        int_costs = instance._int_costs
-        costs = [int_costs[g] for g in goods]
-        row = instance._int_values[agent]
-        vals = [row[g] for g in goods]
-        self.own = own
-        cap = instance._int_budgets[agent]
-        if sum(costs) <= cap:
-            self.best = sum(vals)
-            self._vals = vals
-            self._frontier = None
-            return
-        suffixes = _suffix_frontiers(costs, vals, cap, agent)
-        self.best = suffixes[0][-1][1]
-        self._frontier = (costs, vals, cap, suffixes)
-
-    def without(self, ef1: bool) -> Iterator[tuple[int, int]]:
-        """Each good h of T, ascending, with the best value of T - h at
-        budget B (EFx), or at B - c(h) when ``ef1``; goods with c(h) > B
-        are skipped then."""
-        # A method, not a bound method stored on self: that would make a
-        # reference cycle, and the frontiers would wait for the cyclic GC.
-        if self._frontier is None:
-            # T - h costs at most B - c(h), so for EFx and EF1 alike the
-            # answer is all of T - h.
-            return ((g, self.best - v) for g, v in zip(self.goods, self._vals))
-        return self._from_frontiers(ef1)
-
-    def _from_frontiers(self, ef1: bool) -> Iterator[tuple[int, int]]:
-        costs, vals, cap, suffixes = self._frontier
-        prefix = [(0, 0)]
-        for k, g in enumerate(self.goods):
-            room = cap - costs[k] if ef1 else cap
-            if room >= 0:
-                yield g, _best_of_two(prefix, suffixes[k + 1], room)
-            prefix = _with_good(prefix, costs[k], vals[k], cap)
-
-    def _violators(self, ef1: bool) -> Iterator[int]:
-        # Goods h, ascending, whose removal still leaves more than ``own``:
-        # at budget B (EFx), or with h kept, at budget B - c(h) (EF1).
-        return (g for g, best in self.without(ef1) if best > self.own)
-
-    def efx_drop(self) -> int | None:
-        """The smallest good of T whose removal still leaves the agent an
-        affordable subset worth more than ``own``; None when there is none."""
-        return next(self._violators(False), None)
-
-    def ef1_envies(self) -> bool:
-        """Whether some affordable nonempty S of T, without its least valued
-        good, is worth more than ``own``.
-
-        v(S) minus its least good value is the largest v(S - h) over h in
-        S, so this holds exactly when for some h in T with c(h) <= B the best
-        affordable subset of T - h at budget B - c(h) beats ``own``.
-        """
-        return next(self._violators(True), None) is not None
-
-
 def _envious(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
     # Whether the agent affords a subset of ``target`` worth more than
     # ``own``, in her units. EFx and EF1 envy imply it.
@@ -726,12 +638,16 @@ def envies(
 def efx_envies(
     instance: Instance, own_value: RationalLike, agent: int, target: Iterable[int]
 ) -> bool:
-    """Whether dropping any single good from ``target`` still leaves the agent
+    """Whether dropping some single good from ``target`` still leaves the agent
     an affordable subset worth strictly more than ``own_value``.
 
     Equivalent to the literal two-quantifier form (a witnessing subset S and
-    good g in S): the maximizing subset of ``target`` minus a good is itself
-    budget-feasible, and any witness yields such a removed good.
+    good g in S, with S - g affordable). The budget binds after the removal,
+    so a ``target`` the agent cannot afford whole is EFx-envied exactly when
+    it is envied: each best affordable subset misses some good of it, and
+    survives that good's removal. Of an affordable ``target`` she keeps all
+    but the dropped good, so the test is its value without its least valued
+    good.
     """
     instance.check_agent(agent)
     own_value = to_rational(own_value)
@@ -742,10 +658,17 @@ def efx_envies(
     return _efx_envies(instance, agent, target, own)
 
 
+def _fits(instance: Instance, agent: int, bundle: Bundle) -> bool:
+    return _int_cost(instance, bundle) <= instance._int_budgets[agent]
+
+
 def _efx_envies(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
-    if not _envious(instance, agent, target, own):
-        return False
-    return _LeaveOneOut(instance, agent, target, own).efx_drop() is not None
+    # The two cases of efx_envies's docstring, in her units.
+    if not _fits(instance, agent, target):
+        return _envious(instance, agent, target, own)
+    row = instance._int_values[agent]
+    vals = [row[g] for g in target]
+    return bool(vals) and sum(vals) - min(vals) > own
 
 
 @dataclass(frozen=True)
@@ -774,39 +697,70 @@ def _efx_violation(
 ) -> EfxViolation | None:
     for i, own in enumerate(own_values):
         for j, target in enumerate(bundles):
-            if i == j or not _envious(instance, i, target, own):
+            if i == j or not _efx_envies(instance, i, target, own):
                 continue
-            g = _LeaveOneOut(instance, i, target, own).efx_drop()
-            if g is not None:
-                _, witness = _knapsack(instance, i, target - {g}, instance._int_budgets[i])
-                return EfxViolation(i, j, tuple(sorted(witness | {g})), g)
+            # The smallest good whose removal still leaves her more than
+            # ``own``; one exists because she EFx-envies the target.
+            if _fits(instance, i, target):
+                row = instance._int_values[i]
+                total = _int_value(instance, i, target)
+                g = min(h for h in target if total - row[h] > own)
+            else:
+                g = next(h for h in sorted(target) if _envious(instance, i, target - {h}, own))
+            _, witness = _knapsack(instance, i, target - {g}, instance._int_budgets[i])
+            return EfxViolation(i, j, tuple(sorted(witness | {g})), g)
     return None
+
+
+def _no_pair(instance: Instance, allocation: Allocation, envious) -> bool:
+    # Whether ``envious(instance, i, bundles[j], own value of i)`` is False
+    # for every pair of agents i != j.
+    bundles = allocation.bundles
+    for i, own in enumerate(_own_values(instance, allocation)):
+        for j, target in enumerate(bundles):
+            if i != j and envious(instance, i, target, own):
+                return False
+    return True
 
 
 def is_efx(instance: Instance, allocation: Allocation) -> bool:
     """Envy-freeness up to any good, measured against budget-feasible sub-bundles."""
-    return efx_violation(instance, allocation) is None
+    return _no_pair(instance, allocation, _efx_envies)
 
 
 def is_ef1(instance: Instance, allocation: Allocation) -> bool:
     """Envy-freeness up to one good, measured against budget-feasible
     sub-bundles: no affordable nonempty subset of another bundle, without its
     least valued good, is worth more than the own bundle."""
-    for i, own in enumerate(_own_values(instance, allocation)):
-        for j, target in enumerate(allocation.bundles):
-            if i == j or not _envious(instance, i, target, own):
-                continue
-            if _LeaveOneOut(instance, i, target, own).ef1_envies():
-                return False
-    return True
+    return _no_pair(instance, allocation, _ef1_envies)
+
+
+def _ef1_envies(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
+    # Whether some affordable nonempty S of T, without its least valued
+    # good, is worth more than ``own``. v(S) minus its least good value is
+    # the largest v(S - h) over h in S, so this holds exactly when for some
+    # h in T with c(h) <= B some subset of T - h affordable at B - c(h)
+    # beats ``own``. For an affordable T that is EFx's sum test; otherwise
+    # EF1 envy implies envy, which one bounded decision rules out for most
+    # pairs.
+    if _fits(instance, agent, target):
+        return _efx_envies(instance, agent, target, own)
+    if not _envious(instance, agent, target, own):
+        return False
+    costs = instance._int_costs
+    row = instance._int_values[agent]
+    cap = instance._int_budgets[agent]
+    for h in sorted(target):
+        if costs[h] <= cap:
+            rest = target - {h}
+            rest_costs, rest_vals = [costs[g] for g in rest], [row[g] for g in rest]
+            if _beats(rest_costs, rest_vals, cap - costs[h], own, agent):
+                return True
+    return False
 
 
 def is_envy_free(instance: Instance, allocation: Allocation) -> bool:
-    for i, own in enumerate(_own_values(instance, allocation)):
-        for j, target in enumerate(allocation.bundles):
-            if i != j and _envious(instance, i, target, own):
-                return False
-    return True
+    return _no_pair(instance, allocation, _envious)
 
 
 def nsw_product(instance: Instance, allocation: Allocation) -> Fraction:

@@ -23,6 +23,7 @@ from .model import (
     Instance,
     InvariantViolationError,
     StructuralError,
+    _check_count,
     _envious,
     _from_form,
     _int_value,
@@ -117,6 +118,7 @@ def preprocess(instance: Instance, opt: Allocation) -> tuple[Bundle, SetAside]:
     matched-good ids). Afterwards no remaining affordable good beats any
     agent's set-aside good.
     """
+    _check_count(instance, len(opt.bundles))
     # Values are compared on the instance's integer form: one agent's on
     # her own row, sums across agents over the common denominator of their
     # scales, so every comparison reads as it would on the Fractions.
@@ -178,6 +180,7 @@ def trim_to_budget_share(
     # her integer values over the integer costs. With C the largest cost,
     # two different densities v/c differ by at least 1/C^2, so the keys
     # floor(v * C^2 / c) order them exactly.
+    _check_count(instance, len(opt_on_pool.bundles))
     budgets = set(instance._int_budgets)
     if len(budgets) != 1:
         raise StructuralError("trimming requires equal budgets")

@@ -19,10 +19,10 @@ from .model import (
     InvariantViolationError,
     StructuralError,
     _efx_envies,
+    _fits,
     _int_cost,
     _int_value,
     _knapsack,
-    _LeaveOneOut,
     _own_values,
 )
 from .oracles import leximin_pp_split
@@ -102,12 +102,20 @@ def _graph(
     values: list[tuple[int, ...]] = []
     edges: set[tuple[int, int]] = set()
     for pos, agent in enumerate(agents):
+        vals = instance._int_values[agent]
         row: list[int] = []
         threshold = 0
         for b in bundles:
-            answers = _LeaveOneOut(instance, agent, b)
-            row.append(answers.best)
-            after_drop = max((best for _, best in answers.without(False)), default=0)
+            # Her best value of the bundle after any one drop: all of it
+            # without its least valued good when she affords it whole, and
+            # otherwise its best value, since each best affordable subset
+            # misses some good of it.
+            if _fits(instance, agent, b):
+                best = _int_value(instance, agent, b)
+                after_drop = best - min([vals[g] for g in b], default=0)
+            else:
+                best = after_drop = _knapsack(instance, agent, b, instance._int_budgets[agent])[0]
+            row.append(best)
             threshold = max(threshold, after_drop)
         for j, achievable in enumerate(row):
             if achievable >= threshold:

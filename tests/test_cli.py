@@ -17,13 +17,20 @@ import budgeted_efx
 import budgeted_efx.cli as cli_mod
 from budgeted_efx import model
 from budgeted_efx.cli import main
-from budgeted_efx.instances import gen_instances, instance_to_json
+from budgeted_efx.instances import (
+    gen_instances,
+    instance_to_json,
+    parse_allocation,
+    parse_instance,
+)
 from budgeted_efx.model import (
     MAX_GOODS,
     DegenerateOptimumError,
     Instance,
     InvariantViolationError,
     SearchCapExceededError,
+    efx_violation,
+    is_ef1,
     is_efx,
     knapsack_vmax,
     make_allocation,
@@ -304,15 +311,24 @@ class TestVerify:
         # frontiers hold 1, 2, 3, then 5 entries, 11 in all.
         monkeypatch.setattr(model, "_FRONTIER_ENTRIES", 8)
         instance = Instance((1, 2, 3, 4), (10, 5), ((1, 1, 1, 1), (1, 2, 3, 4)))
+        with pytest.raises(
+            SearchCapExceededError,
+            match="knapsack frontiers of agent 1 over 4 goods reached 11 entries, "
+            "past the cap of 8",
+        ):
+            knapsack_vmax(instance, 1, range(4), 5)
+        # She envies the bundle she cannot afford whole, so she EFx-envies
+        # it, which the envy decision proves without the frontiers.
+        alloc = make_allocation(instance, [range(4), ()])
+        assert is_efx(instance, alloc) is False
+        # The witness is her best subset of goods 1 to 3 (the drop of good
+        # 0): frontiers of 1, 2, 3, then 5 entries, 11 in all.
         message = (
-            "knapsack frontiers of agent 1 over 4 goods reached 11 entries, "
+            "knapsack frontiers of agent 1 over 3 goods reached 11 entries, "
             "past the cap of 8"
         )
         with pytest.raises(SearchCapExceededError, match=message):
-            knapsack_vmax(instance, 1, range(4), 5)
-        alloc = make_allocation(instance, [range(4), ()])
-        with pytest.raises(SearchCapExceededError, match=message):
-            is_efx(instance, alloc)
+            efx_violation(instance, alloc)
         path = tmp_path / "inst.json"
         path.write_text(instance_to_json(instance))
         alloc_path = tmp_path / "alloc.json"
@@ -323,10 +339,10 @@ class TestVerify:
         assert err == f"error: {message}\n"
 
     @staticmethod
-    def tight_holder(tmp_path, costs, values):
+    def tight_holder(tmp_path, costs, values, short=0):
         """Paths of an instance where agent 1 holds goods with ``costs`` and
-        agent 0 holds one more good, worth to her exactly her best
-        affordable value of agent 1's bundle at half its cost; agent 1
+        agent 0 holds one more good, worth to her ``short`` less than her
+        best affordable value of agent 1's bundle at half its cost; agent 1
         values only the goods it holds. The best value is a dynamic program over
         integer budgets."""
         m = len(costs)
@@ -340,7 +356,7 @@ class TestVerify:
                 {
                     "goods": [{"id": g, "cost": c} for g, c in enumerate([*costs, 1])],
                     "agents": [
-                        {"id": 0, "budget": budget, "values": [*values, best[budget]]},
+                        {"id": 0, "budget": budget, "values": [*values, best[budget] - short]},
                         {"id": 1, "budget": sum(costs), "values": [1] * m + [0]},
                     ],
                 }
@@ -382,6 +398,29 @@ class TestVerify:
         report = report_of(out)
         assert report["envy_free"] is True and report["ef1"] is True
         assert report["efx"] == {"pass": True, "witness": None}
+
+    def test_a_tight_511_good_bundle_one_short_of_the_best(self, capsys, tmp_path):
+        # Agent 0 envies agent 1's bundle and cannot afford it whole, so
+        # she EFx-envies it; after paying for any one good h she affords at
+        # most best - v(h) < best - 1 of the rest, so she does not EF1-envy
+        # it. Bounded decisions answer both. The witness of the violation
+        # is her exact best subset without good 0, whose suffix frontiers
+        # pass the cap, so verify exits 3.
+        rng = random.Random(0)
+        costs = [rng.randint(50, 60) for _ in range(MAX_GOODS - 1)]
+        values = [c + rng.randint(0, 5) for c in costs]
+        paths = self.tight_holder(tmp_path, costs, values, short=1)
+        instance = parse_instance(paths[0])
+        allocation = parse_allocation(paths[1], instance)
+        assert is_efx(instance, allocation) is False
+        assert is_ef1(instance, allocation) is True
+        code, out, err = run(capsys, "verify", *paths)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: knapsack frontiers of agent 0 over 510 goods reached 2102392 "
+            "entries, past the cap of 2097152\n"
+        )
 
     def test_an_instance_at_the_limit_verifies(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", *self.one_holder(tmp_path, MAX_GOODS))

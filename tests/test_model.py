@@ -1,10 +1,8 @@
 import random
-import weakref
 from fractions import Fraction
 
 import pytest
 
-from budgeted_efx import model
 from budgeted_efx.model import (
     Allocation,
     DegenerateOptimumError,
@@ -26,6 +24,7 @@ from budgeted_efx.model import (
     to_rational,
 )
 from budgeted_efx.oracles import is_pareto_efficient, knapsack_by_enumeration
+from budgeted_efx.three_agents import preprocess, trim_to_budget_share
 from budgeted_efx.two_agents import FeasibilityGraph, build_feasibility_graph, efx_2a
 
 from helpers import (
@@ -226,7 +225,8 @@ class TestFairnessPredicates:
 class TestAllocationSize:
     """An allocation with one bundle per agent is checked once, on entry;
     too few bundles used to raise a raw IndexError, and extra bundles were
-    ignored (is_efx said True, nsw_product said 2)."""
+    ignored (is_efx said True, nsw_product said 2); ``preprocess`` raised a
+    raw ValueError on either."""
 
     INSTANCE = build((1, 1, 1), (2, 2), ((1, 2, 3), (3, 2, 1)))
     ENTRY_POINTS = {
@@ -238,6 +238,8 @@ class TestAllocationSize:
         "nsw_product": nsw_product,
         "is_pareto_efficient": is_pareto_efficient,
         "efx_2a": lambda inst, alloc: efx_2a(inst, (0, 1), alloc),
+        "preprocess": preprocess,
+        "trim_to_budget_share": trim_to_budget_share,
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -456,7 +458,8 @@ def literal_graph(inst, allocation):
 
 
 class TestLeaveOneOutEngine:
-    """The frontier engine gives the certificates of the unpruned oracles."""
+    """The EFx, EF1 and envy predicates and the feasibility graph give the
+    certificates of the unpruned oracles."""
 
     @staticmethod
     def cases():
@@ -473,6 +476,7 @@ class TestLeaveOneOutEngine:
         for inst, allocation in cases[:-2]:
             violation, ef1, envy_free, graph = certificates(inst, allocation)
             assert violation == literal_violation(inst, allocation)
+            assert is_efx(inst, allocation) == (violation is None)
             assert (violation is None) == all(
                 not literal_efx_envies(
                     inst, value_of(inst, i, allocation.bundles[i]), i, target
@@ -490,17 +494,8 @@ class TestLeaveOneOutEngine:
         for inst, allocation in cases[-2:]:
             violation, _, envy_free, _ = certificates(inst, allocation)
             assert violation == literal_violation(inst, allocation)
+            assert is_efx(inst, allocation) == (violation is None)
             assert envy_free == literal_envy_free(inst, allocation)
-
-    def test_an_engine_is_freed_by_reference_counting(self):
-        # Its frontiers can be large; a reference cycle would keep them
-        # until the cyclic garbage collector runs.
-        inst = build([1, 1, 1], [1], [[3, 3, 3]])
-        engine = model._LeaveOneOut(inst, 0, frozenset({0, 1, 2}))
-        assert [best for _, best in engine.without(False)] == [3, 3, 3]
-        freed = weakref.ref(engine)
-        del engine
-        assert freed() is None
 
     def test_the_cases_reach_every_branch(self):
         cases = self.cases()

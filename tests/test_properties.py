@@ -174,6 +174,40 @@ def test_efx_envy_two_step_form_matches_the_literal_form(data, own):
 
 
 @st.composite
+def bundles_and_own_values(draw):
+    """One agent and a bundle of 0-8 goods: zero costs, values and budgets
+    are likely, and the own value may be negative."""
+    numbers = st.one_of(st.just(F(0)), rationals)
+    m = draw(st.integers(0, 8))
+    costs = [draw(numbers) for _ in range(m)]
+    values = [draw(numbers) for _ in range(m)]
+    own = draw(st.fractions(min_value=-2, max_value=12, max_denominator=4))
+    return build(costs, [draw(numbers)], [values]), own
+
+
+# An empty bundle costs nothing and is envied at a negative own value, but
+# has no good to drop.
+@example((build([], [0], [[]]), F(-1)))
+@settings(deadline=None)
+@given(bundles_and_own_values())
+def test_efx_envy_is_envy_or_one_sum(case):
+    # The reduction the EFx and EF1 predicates and the feasibility graph
+    # stand on, checked on the unpruned oracles: a bundle the agent cannot
+    # afford whole is EFx-envied exactly when it is envied, and an
+    # affordable one when it is worth more than ``own`` without its least
+    # valued good.
+    inst, own = case
+    goods, budget = inst.all_goods(), inst.budgets[0]
+    literal = literal_efx_envies(inst, own, 0, goods)
+    if cost_of(inst, goods) > budget:
+        assert literal == (knapsack_by_enumeration(inst, 0, goods, budget)[0] > own)
+    else:
+        vals = inst.values[0]
+        assert literal == (bool(goods) and value_of(inst, 0, goods) - min(vals) > own)
+    assert efx_envies(inst, own, 0, goods) == literal
+
+
+@st.composite
 def knapsack_pools(draw):
     """Costs, values and a budget of 0-12 goods. Zero costs and zero values
     are likely, some goods share one value density, every number may be a
