@@ -47,6 +47,7 @@ from .model import (
     StructuralError,
     _efx_violation,
     _envious,
+    _fits,
     _int_cost,
     _own_values,
     _values,
@@ -92,9 +93,8 @@ def _search_budget(cap: int | None) -> SearchBudget:
     return SearchBudget()
 
 
-def _fits(instance: Instance, allocation: Allocation) -> bool:
-    budgets = instance._int_budgets
-    return all(_int_cost(instance, b) <= budgets[i] for i, b in enumerate(allocation.bundles))
+def _budget_feasible(instance: Instance, allocation: Allocation) -> bool:
+    return all(_fits(instance, i, b) for i, b in enumerate(allocation.bundles))
 
 
 def _shared_fields(instance: Instance, allocation: Allocation) -> tuple[dict, list[int]]:
@@ -106,7 +106,7 @@ def _shared_fields(instance: Instance, allocation: Allocation) -> tuple[dict, li
         "input_hash": instance_sha256(instance),
         "allocation": allocation_to_payload(allocation),
         "nsw_product": _ratio_to_json(math.prod(values), math.prod(instance._value_scales)),
-        "budget_feasible": _fits(instance, allocation),
+        "budget_feasible": _budget_feasible(instance, allocation),
         "efx": {
             "pass": violation is None,
             "witness": None if violation is None else asdict(violation),
@@ -169,7 +169,7 @@ def _solve_report(
             )
         else:
             seed_alloc = parse_allocation(seed, instance)
-            if not _fits(instance, seed_alloc):
+            if not _budget_feasible(instance, seed_alloc):
                 raise StructuralError("seed allocation is not budget-feasible")
         # The seed was checked as it was read, or built by the search.
         seed = _values(instance, seed_alloc.bundles)

@@ -361,11 +361,6 @@ class Allocation:
     def unallocated(self) -> Bundle:
         return self.scope - self.allocated()
 
-    def replace(self, agent: int, bundle: Iterable[int]) -> "Allocation":
-        bundles = list(self.bundles)
-        bundles[agent] = frozenset(bundle)
-        return Allocation(tuple(bundles), self.scope)
-
 
 def make_allocation(
     instance: Instance,

@@ -24,6 +24,7 @@ from .model import (
     StructuralError,
     ZERO,
     _efx_envies,
+    _fits,
     _int_value,
     _own_values,
     to_rational,
@@ -308,11 +309,8 @@ def complete_efx_allocation(
     for a in agents:
         instance.check_agent(a)
     pool = instance.check_bundle(pool)
-    costs = instance._int_costs
-    if sum([costs[g] for g in pool]) > min(instance._int_budgets[a] for a in agents):
-        raise StructuralError(
-            "pool must be affordable within every agent's budget"
-        )
+    if not all(_fits(instance, a, pool) for a in agents):
+        raise StructuralError("pool must be affordable within every agent's budget")
 
     goods = sorted(pool)
     n = len(goods)
@@ -383,16 +381,18 @@ def complete_efx_allocation(
 
 
 def leximin_pp_split(
-    pool: Iterable[int], valuation: Callable[[Bundle], Fraction]
+    pool: Iterable[int], valuation: Callable[[Bundle], int | Fraction]
 ) -> SplitPair:
     """Split ``pool`` into two parts by brute-force leximin++ under a single
     valuation ``u``.
 
-    Every 2-partition is scored by the signature (u(worse), |worse|,
-    u(better), |better|), where the worse part is the one with the smaller
-    (value, cardinality) key; the partition with the lexicographically
-    largest signature wins. Remaining ties are broken by the smallest sorted
-    good-id sequence of the preferred part, which is returned as ``first``.
+    ``u`` may answer in any exact numbers that order as its values do (the
+    pair procedure passes ints in the envier's units). Every 2-partition is
+    scored by the signature (u(worse), |worse|, u(better), |better|), where
+    the worse part is the one with the smaller (value, cardinality) key; the
+    partition with the lexicographically largest signature wins. Remaining
+    ties are broken by the smallest sorted good-id sequence of the preferred
+    part, which is returned as ``first``.
 
     Guarantees u(second) >= u(first minus any single good): if that failed
     for some good, moving the good across would improve the signature.
@@ -406,25 +406,18 @@ def leximin_pp_split(
         for mask in range(full + 1)
     ]
     keys = [(valuation(part), len(part)) for part in parts]
-    best_sig: tuple | None = None
-    best_first: tuple[int, ...] | None = None
-    best_mask: int | None = None
-    for mask in range(full + 1):
-        key_first, key_second = keys[mask], keys[full ^ mask]
-        if key_first < key_second:
-            continue  # orientation with the preferred part first only
-        sig = (key_second[0], key_second[1], key_first[0], key_first[1])
-        first_ids = tuple(sorted(parts[mask]))
-        if (
-            best_sig is None
-            or sig > best_sig
-            or (sig == best_sig and first_ids < best_first)
-        ):
-            best_sig = sig
-            best_first = first_ids
-            best_mask = mask
-    assert best_mask is not None
-    return SplitPair(parts[best_mask], parts[full ^ best_mask])
+    # The orientations with the preferred part first, by their signatures.
+    signatures = {
+        mask: (*keys[full ^ mask], *keys[mask])
+        for mask in range(full + 1)
+        if keys[mask] >= keys[full ^ mask]
+    }
+    top = max(signatures.values())
+    best = min(
+        (mask for mask, sig in signatures.items() if sig == top),
+        key=lambda mask: sorted(parts[mask]),
+    )
+    return SplitPair(parts[best], parts[full ^ best])
 
 
 def best_allocation_under_predicate(
@@ -446,10 +439,6 @@ def best_allocation_under_predicate(
     return found and (found[0], Fraction(found[1], math.prod(instance._value_scales)))
 
 
-class _Dominated(Exception):
-    """Raised inside the Pareto walk at the first dominating leaf."""
-
-
 def is_pareto_efficient(
     instance: Instance, allocation: Allocation, budget: SearchBudget = SearchBudget()
 ) -> bool:
@@ -469,29 +458,25 @@ def is_pareto_efficient(
     counter = _Counter(budget.max_assignments)
     acc = [0] * n_agents
 
-    def walk(idx: int) -> None:
+    def walk(idx: int) -> bool:
+        # Whether some leaf below dominates; the first one found ends the walk.
         for a in range(n_agents):
             if acc[a] + suffix[a][idx] < base[a]:
-                return  # cannot even match this agent's current value
+                return False  # cannot even match this agent's current value
         if idx == n:
             counter.tick()
-            if any(acc[a] > base[a] for a in range(n_agents)):
-                raise _Dominated
-            return
+            return any(acc[a] > base[a] for a in range(n_agents))
         for code in range(n_agents):
             old = acc[code]
             acc[code] = old + rows[code][idx]
-            walk(idx + 1)
+            if walk(idx + 1):
+                return True
             acc[code] = old
-        walk(idx + 1)
+        return walk(idx + 1)
 
-    try:
-        walk(0)
-    except _Dominated:
-        return False
-    finally:
-        del walk  # as in _welfare_walk
-    return True
+    dominated = walk(0)
+    del walk  # as in _welfare_walk
+    return not dominated
 
 
 def knapsack_by_enumeration(

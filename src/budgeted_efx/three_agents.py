@@ -222,11 +222,11 @@ def equal_budget_procedure(
     allocation = Allocation(allocation.bundles, opt_on_pool.scope)
 
     agents = range(instance.num_agents)
-    # 3-cycles first, then mutual pairs; a pair is an envy cycle of length 2.
-    # Each cycle is its edges (a, b): a envies the bundle of b.
+    # The two 3-cycles first, then mutual pairs; a pair is an envy cycle of
+    # length 2. Each cycle is its edges (a, b): a envies the bundle of b.
     cycles = [
         list(zip(c, c[1:] + c[:1]))
-        for c in (*itertools.permutations(agents, 3), *itertools.combinations(agents, 2))
+        for c in ((0, 1, 2), (0, 2, 1), *itertools.combinations(agents, 2))
     ]
     for _ in range(ENVY_SWAP_CAP):
         bundles = allocation.bundles
@@ -271,23 +271,24 @@ def round_robin_self_split(
 
 def else_procedure(
     instance: Instance,
-    alpha: AlphaParams,
-    setaside: SetAside,
+    pool: Bundle,
+    above: Sequence[bool],
     search: SearchBudget = SearchBudget(),
 ) -> tuple[Allocation, ElseTrace]:
     """Unequal-budget branch, for agents indexed by ascending budget.
 
+    ``pool`` is the goods left in play once the set-aside goods are out, and
+    ``above`` says whether agents 2 and 3 each reach the alpha monopoly
+    threshold on it at the lowest budget, as :func:`_monopoly_low` finds.
     Agent 1 takes her best affordable bundle from the pool; agents 2 and 3
     run the pair procedure on the welfare optimum of the rest. If both
-    higher-budget agents are below the alpha monopoly threshold at the
-    lowest budget, that allocation already works. Otherwise the agent still
-    below the threshold is indexed 3; if agent 2 prefers her own bundle to
-    agent 1's, the allocation also works. In the remaining case agents 1 and
-    2 share agent 1's bundle via the pair procedure, agent 3 gives up the
-    half of her bundle agent 2 likes most, and agent 1 may grab her best
-    affordable piece of what agent 3 kept.
+    higher-budget agents are below the threshold, that allocation already
+    works. Otherwise the agent still below the threshold is indexed 3; if
+    agent 2 prefers her own bundle to agent 1's, the allocation also works.
+    In the remaining case agents 1 and 2 share agent 1's bundle via the pair
+    procedure, agent 3 gives up the half of her bundle agent 2 likes most,
+    and agent 1 may grab her best affordable piece of what agent 3 kept.
     """
-    pool = instance.all_goods() - {g for g in setaside.goods if g is not None}
     budgets = instance._int_budgets
     if not (budgets[0] <= budgets[1] <= budgets[2]):
         raise StructuralError("agents must be indexed by ascending budget")
@@ -299,7 +300,6 @@ def else_procedure(
     pair_result = efx_2a(instance, (1, 2), opt_rest)
     x2 = pair_result.allocation.bundles[1]
     x3 = pair_result.allocation.bundles[2]
-    _, (above2, above3) = _monopoly_low(instance, pool, alpha)
 
     def assemble(by_agent: dict[int, Bundle]) -> Allocation:
         bundles = [frozenset()] * instance.num_agents
@@ -307,11 +307,11 @@ def else_procedure(
             bundles[agent] = bundle
         return Allocation(tuple(bundles), pool)
 
-    if not above2 and not above3:
+    if not any(above):
         return assemble({0: x1, 1: x2, 2: x3}), ElseTrace(1, False)
 
     # Relabel the higher-budget agents so the one below the threshold is "3".
-    swapped = above3
+    swapped = above[1]
     hi, lo = (2, 1) if swapped else (1, 2)
     x_hi = x3 if swapped else x2
     x_lo = x2 if swapped else x3
@@ -433,8 +433,7 @@ def efx_3a(
         opt_on_pool = max_nsw_allocation(reduced, range(3), pool, search)
         result = equal_budget_procedure(reduced, opt_on_pool, search)
     else:
-        allocation, trace = else_procedure(work, alpha, setaside, search)
-        result = allocation
+        result, trace = else_procedure(work, pool, above, search)
         branch = f"else_return{trace.return_point}"
         if trace.swapped_roles:
             notes.append("higher-budget agents relabeled: original role 2 was "

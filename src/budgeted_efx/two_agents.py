@@ -8,6 +8,7 @@ ratio any EFx (or even EF1) allocation can give.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,7 +21,6 @@ from .model import (
     StructuralError,
     _efx_envies,
     _fits,
-    _int_cost,
     _int_value,
     _knapsack,
     _own_values,
@@ -135,24 +135,17 @@ def select_perfect_matching(
     """
     p = graph.agents.index(priority_agent)
     s = graph.agents.index(secondary_agent)
-    best: tuple[Fraction, Fraction, tuple[int, int]] | None = None
-    for bp in range(len(graph.bundles)):
-        if (p, bp) not in graph.edges:
-            continue
-        for bs in range(len(graph.bundles)):
-            if bs == bp or (s, bs) not in graph.edges:
-                continue
-            vp, vs = graph.values[p][bp], graph.values[s][bs]
-            key = (vp, vs)
-            if (
-                best is None
-                or key > (best[0], best[1])
-                or (key == (best[0], best[1]) and (bp, bs) < best[2])
-            ):
-                best = (vp, vs, (bp, bs))
-    if best is None:
-        return None
-    return {priority_agent: best[2][0], secondary_agent: best[2][1]}
+    edges, values = graph.edges, graph.values
+    best = max(
+        (
+            (bp, bs)
+            for bp, bs in itertools.permutations(range(len(graph.bundles)), 2)
+            if (p, bp) in edges and (s, bs) in edges
+        ),
+        key=lambda pick: (values[p][pick[0]], values[s][pick[1]], -pick[0], -pick[1]),
+        default=None,
+    )
+    return None if best is None else {priority_agent: best[0], secondary_agent: best[1]}
 
 
 def efx_2a(
@@ -191,10 +184,9 @@ def efx_2a(
     own_values = _own_values(instance, allocation)
     budgets = instance._int_budgets
     xa, xb = allocation.bundles[a], allocation.bundles[b]
-    if _int_cost(instance, xa) > budgets[a]:
-        raise StructuralError(f"input bundle of agent {a} exceeds her budget")
-    if _int_cost(instance, xb) > budgets[b]:
-        raise StructuralError(f"input bundle of agent {b} exceeds her budget")
+    for agent, bundle in ((a, xa), (b, xb)):
+        if not _fits(instance, agent, bundle):
+            raise StructuralError(f"input bundle of agent {agent} exceeds her budget")
     scope = xa | xb
 
     a_envies = _efx_envies(instance, a, xb, own_values[a])
@@ -221,7 +213,7 @@ def efx_2a(
         # the best achievable), so the higher-budget agent never leaves
         # zero-value crumbs behind and the left-out part stays confined to
         # the lower-budget agent's matched bundle.
-        if _int_cost(instance, bundle) <= budgets[agent]:
+        if _fits(instance, agent, bundle):
             return bundle
         return _knapsack(instance, agent, bundle, budgets[agent])[1]
 
@@ -289,26 +281,24 @@ def efx_2a(
     def certified_selection(
         configurations: list[tuple[Bundle, Bundle, Bundle]],
     ) -> tuple[tuple[Bundle, Bundle, Bundle], int, int]:
-        best_key = None
-        best_pick = None
-        for cfg_idx, bundles in enumerate(configurations):
-            for be in range(3):
-                for bd in range(3):
-                    if be == bd:
-                        continue
-                    key = certify(bundles, be, bd)
-                    if key is None:
-                        continue
-                    full = (key[0], key[1], -cfg_idx, -bd, -be)
-                    if best_key is None or full > best_key:
-                        best_key = full
-                        best_pick = (bundles, be, bd)
-        if best_pick is None:
+        # The highest (val_d, val_e), ties to the earliest configuration,
+        # then the lowest envied bundle, then the lowest envier bundle.
+        best = max(
+            (
+                ((*key, -cfg_idx, -bd, -be), (bundles, be, bd))
+                for cfg_idx, bundles in enumerate(configurations)
+                for be, bd in itertools.permutations(range(3), 2)
+                if (key := certify(bundles, be, bd)) is not None
+            ),
+            key=lambda keyed: keyed[0],
+            default=None,
+        )
+        if best is None:
             raise InvariantViolationError(
                 "no assignment over either bundle configuration satisfies "
                 "all promised guarantees"
             )
-        return best_pick
+        return best[1]
 
     iterations = 0
     if 2 * own_value >= reachable:

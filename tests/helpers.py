@@ -171,3 +171,22 @@ def literal_first_complete_efx(instance: Instance, agents, pool):
                 bundles[a] = part
             return tuple(bundles)
     return None
+
+
+def literal_pareto_efficient(instance: Instance, allocation: Allocation) -> bool:
+    """No way to hand out the goods, budgets ignored, leaves every agent at
+    least as well off as ``allocation`` and one strictly better.
+
+    Plain enumeration of assignment codes (agent ids, then n for
+    "unallocated") over every good of the instance.
+    """
+    n = instance.num_agents
+    base = [value_of(instance, i, allocation.bundles[i]) for i in range(n)]
+    for codes in itertools.product(range(n + 1), repeat=instance.num_goods):
+        gains = [
+            value_of(instance, i, [g for g, code in enumerate(codes) if code == i]) - base[i]
+            for i in range(n)
+        ]
+        if min(gains) >= 0 and max(gains) > 0:
+            return False
+    return True

@@ -24,6 +24,7 @@ from budgeted_efx.model import (
 )
 from budgeted_efx.oracles import (
     SearchBudget,
+    is_pareto_efficient,
     knapsack_by_enumeration,
     leximin_pp_split,
     max_nsw_allocation,
@@ -37,6 +38,7 @@ from helpers import (
     literal_drop_least_holds,
     literal_ef1_holds,
     literal_efx_envies,
+    literal_pareto_efficient,
     random_feasible_allocation,
     value_of,
 )
@@ -68,10 +70,10 @@ def instance_with_pool(draw):
 
 
 @st.composite
-def instance_with_allocation(draw):
+def instance_with_allocation(draw, n_goods=st.integers(0, 7)):
     """Any assignment of the goods, budget-feasible or not; code n leaves a
     good unallocated."""
-    inst = draw(instances(n_agents=st.integers(2, 3), n_goods=st.integers(0, 7)))
+    inst = draw(instances(n_agents=st.integers(2, 3), n_goods=n_goods))
     n = inst.num_agents
     codes = [draw(st.integers(0, n)) for _ in range(inst.num_goods)]
     bundles = tuple(
@@ -151,6 +153,17 @@ def test_ef1_matches_its_literal_form(data):
     assert holds == literal_drop_least_holds(inst, allocation)
     if holds:
         assert literal_ef1_holds(inst, allocation)
+
+
+# The only good is over every budget: the walk ignores budgets, so handing
+# it to the agent who values it is efficient, and leaving it out is not.
+@example((build([5], [1, 1], [[3], [0]]), Allocation((frozenset({0}), frozenset()), {0})))
+@example((build([5], [1, 1], [[3], [0]]), Allocation((frozenset(), frozenset()), {0})))
+@settings(deadline=None)
+@given(instance_with_allocation(n_goods=st.integers(0, 6)))
+def test_pareto_walk_matches_its_literal_form(data):
+    inst, allocation = data
+    assert is_pareto_efficient(inst, allocation) == literal_pareto_efficient(inst, allocation)
 
 
 @settings(deadline=None, max_examples=200)

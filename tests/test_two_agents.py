@@ -302,6 +302,76 @@ class TestEfx2a:
         assert 2 * bundle_value(inst, 1, result.allocation.bundles[1]) >= 13
         assert_result_invariants(inst, seed, result)
 
+    @pytest.mark.parametrize(
+        "costs, budgets, values, iterations, matched, bundles",
+        [
+            # the loop moves all of {2, 3, 5} to the reserve, and no
+            # configuration on the way has a perfect matching
+            pytest.param(
+                [20, 7, 8, 17, 10, 17],
+                [12, 42],
+                [[0, 11, 12, 20, 11, 4], [6, 5, 18, 10, 0, 17]],
+                3, [{2}, {3, 5}], [{2}, {3, 5}],
+                id="no-matching",
+            ),
+            # after one removal the best matching gives the envied agent
+            # {1}, worth 18 < 37 / 2
+            pytest.param(
+                [4, 15, 13, 15],
+                [17, 43],
+                [[13, 6, 18, 16], [10, 18, 9, 1]],
+                1, [{2}, {0, 1}], [{2}, {0, 1}],
+                id="floor-miss",
+            ),
+            # four assignments pass the checks; the envied agent's highest
+            # value wins
+            pytest.param(
+                [7, 20, 5, 9],
+                [16, 48],
+                [[17, 17, 12, 12], [18, 2, 15, 13]],
+                1, [{1, 2, 3}, {0}], [{2, 3}, {0}],
+                id="highest-values",
+            ),
+            # two assignments tie on both values, the configuration and the
+            # envied agent's bundle; the envier's lower bundle index wins
+            pytest.param(
+                [20, 19, 2, 17, 1, 2, 18],
+                [35, 176],
+                [[16, 6, 0, 3, 0, 4, 16], [2, 15, 5, 15, 13, 18, 13]],
+                3, [{0}, {1, 2, 3, 4, 5}], [{0}, {1, 2, 3, 4, 5}],
+                id="tie-to-the-lower-bundle",
+            ),
+        ],
+    )
+    def test_welfare_optimal_seeds_rebuilt_by_certification(
+        self, costs, budgets, values, iterations, matched, bundles
+    ):
+        # drawn from the welfare-optimal seeds `solve --algorithm efx2` makes
+        inst = build(costs, budgets, values)
+        seed = max_nsw_allocation(inst, (0, 1), inst.all_goods())
+        result = efx_2a(inst, (0, 1), seed)
+        assert result.branch == "removal_loop_certified"
+        assert result.iterations == iterations
+        assert result.matched == tuple(map(frozenset, matched))
+        assert result.allocation.bundles == tuple(map(frozenset, bundles))
+        assert_result_invariants(inst, seed, result)
+
+    def test_certified_ties_go_to_the_first_configuration_then_the_lower_bundle(self):
+        # from a feasible seed, not the optimum: four assignments pass the
+        # checks at values (25, 25), the envied agent on bundle 1 or 2 of
+        # the loop's last configuration or of the split
+        inst = build(
+            [20, 17, 0, 3, 0, 0, 20, 14, 5],
+            [18, 37],
+            [[20, 12, 9, 10, 12, 13, 12, 16, 13], [15, 14, 6, 6, 19, 18, 9, 16, 6]],
+        )
+        seed = make_allocation(inst, [{1, 5}, {3, 4, 6, 7}])
+        result = efx_2a(inst, (0, 1), seed)
+        assert result.branch == "removal_loop_certified"
+        assert result.iterations == 2
+        assert result.allocation.bundles == (frozenset({1, 5}), frozenset({6, 7}))
+        assert_result_invariants(inst, seed, result)
+
     def test_every_feasible_seed_on_small_instances(self):
         # scaled-down version of the exhaustive adversarial sweep that
         # uncovered the certified-rebuild cases
