@@ -141,10 +141,6 @@ def _emit(text: str, out: str | Path | None) -> None:
         raise FairDivisionError(f"{out}: cannot write: {exc.strerror or exc}") from exc
 
 
-def _write_report(report: dict, out: str | None) -> None:
-    _emit(_canonical_json(report), out)
-
-
 def _ratio_check(name: str, lhs: int, rhs: int, scale: int) -> dict:
     """The check lhs >= rhs, both numbers over one positive ``scale``."""
     return {
@@ -279,7 +275,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     report = _solve_report(
         instance, args.algorithm, search, args.seed_allocation, args.alpha
     )
-    _write_report(report, args.out)
+    _emit(_canonical_json(report), args.out)
     return EXIT_OK if all(_certificate(report)) else EXIT_GUARANTEE
 
 
@@ -303,7 +299,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     instance = parse_instance(args.instance)
     allocation = parse_allocation(args.allocation, instance)
     report = _verify_report(instance, allocation, _search_budget(args.cap))
-    _write_report(report, args.out)
+    _emit(_canonical_json(report), args.out)
     verified = report["budget_feasible"] and report["efx"]["pass"]
     return EXIT_OK if verified else EXIT_VERIFY
 

@@ -13,6 +13,7 @@ for an integer.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -323,15 +324,7 @@ def _has_positive_product(
         [g for g, (c, v) in enumerate(zip(costs, row)) if v > 0 and c <= cap]
         for cap, row in zip(budgets, values)
     ]
-
-    def match(i: int, used: set[int]) -> bool:
-        if i == len(candidates):
-            return True
-        return any(
-            g not in used and match(i + 1, used | {g}) for g in candidates[i]
-        )
-
-    return match(0, set())
+    return any(len(set(p)) == len(p) for p in itertools.product(*candidates))
 
 
 def gen_instances(

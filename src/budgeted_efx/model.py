@@ -103,8 +103,6 @@ def _over_common_denominator(xs: Iterable[RationalLike]) -> tuple[tuple[int, ...
     # One as_integer_ratio() call per number, not two property reads.
     pairs = [to_rational(x).as_integer_ratio() for x in xs]
     lcm = math.lcm(*[q for _, q in pairs])
-    if lcm == 1:
-        return tuple([p for p, _ in pairs]), 1
     return tuple([p * (lcm // q) for p, q in pairs]), lcm
 
 
@@ -137,18 +135,7 @@ def to_rational(x: RationalLike) -> Fraction:
         raise StructuralError(f"cannot interpret {x!r} as a rational") from exc
 
 
-# The value scales of an instance whose values are all ints, shared by every
-# such instance with up to 8 agents.
-_UNIT_SCALES = tuple((1,) * n for n in range(9))
-
-
-def _unit_scales(n: int) -> tuple[int, ...]:
-    return _UNIT_SCALES[n] if n < len(_UNIT_SCALES) else (1,) * n
-
-
 def _fractions(ints: tuple[int, ...], scale: int) -> tuple[Fraction, ...]:
-    if scale == 1:
-        return tuple([Fraction(x) for x in ints])
     return tuple([Fraction(x, scale) for x in ints])
 
 
@@ -192,7 +179,6 @@ class Instance:
         if m > MAX_GOODS:
             raise StructuralError(f"{m} goods exceed the limit of {MAX_GOODS}")
         int_budgets, budget_scale = _over_common_denominator(budgets)
-        values = tuple(values)
         rows = [_over_common_denominator(row) for row in values]
         if len(rows) != len(int_budgets):
             raise StructuralError(f"{len(int_budgets)} budgets but {len(rows)} value rows")
@@ -204,13 +190,8 @@ class Instance:
             int_costs = tuple([c * (scale // cost_scale) for c in int_costs])
             int_budgets = tuple([b * (scale // budget_scale) for b in int_budgets])
             cost_scale = scale
-        if all(row is given for (row, _), given in zip(rows, values)):
-            int_values = values
-        else:
-            int_values = tuple([row for row, _ in rows])
+        int_values = tuple([row for row, _ in rows])
         value_scales = tuple([scale for _, scale in rows])
-        if all(scale == 1 for scale in value_scales):
-            value_scales = _unit_scales(len(value_scales))
         # The scales are positive, so the integers keep every sign.
         if min(int_costs, default=0) < 0:
             raise StructuralError("costs must be nonnegative")
@@ -356,7 +337,7 @@ class Allocation:
         return len(self.bundles)
 
     def allocated(self) -> Bundle:
-        return frozenset().union(*self.bundles) if self.bundles else frozenset()
+        return frozenset().union(*self.bundles)
 
     def unallocated(self) -> Bundle:
         return self.scope - self.allocated()
@@ -608,8 +589,6 @@ def _beats(costs: list, vals: list, cap: int, own: int, agent: int) -> bool:
 def _envious(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
     # Whether the agent affords a subset of ``target`` worth more than
     # ``own``, in her units. EFx and EF1 envy imply it.
-    if not target:
-        return own < 0
     costs = instance._int_costs
     row = instance._int_values[agent]
     return _beats(

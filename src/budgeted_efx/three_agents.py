@@ -42,7 +42,6 @@ from .two_agents import efx_2a
 
 __all__ = [
     "AlphaParams",
-    "ElseTrace",
     "SetAside",
     "SolveResult",
     "efx_3a",
@@ -81,12 +80,6 @@ class AlphaParams:
             raise StructuralError(
                 "alpha must lie in (0, 1/35]; above 1/35 the guarantees are void"
             )
-
-
-@dataclass(frozen=True)
-class ElseTrace:
-    return_point: int
-    swapped_roles: bool
 
 
 @dataclass(frozen=True)
@@ -274,7 +267,7 @@ def else_procedure(
     pool: Bundle,
     above: Sequence[bool],
     search: SearchBudget = SearchBudget(),
-) -> tuple[Allocation, ElseTrace]:
+) -> tuple[Allocation, int, bool]:
     """Unequal-budget branch, for agents indexed by ascending budget.
 
     ``pool`` is the goods left in play once the set-aside goods are out, and
@@ -288,6 +281,10 @@ def else_procedure(
     In the remaining case agents 1 and 2 share agent 1's bundle via the pair
     procedure, agent 3 gives up the half of her bundle agent 2 likes most,
     and agent 1 may grab her best affordable piece of what agent 3 kept.
+
+    Returns the allocation, the return point (1, 2 or 3, in the order
+    above) and whether agents 2 and 3 swapped roles, which they do when
+    agent 2 is the one below the threshold.
     """
     budgets = instance._int_budgets
     if not (budgets[0] <= budgets[1] <= budgets[2]):
@@ -308,7 +305,7 @@ def else_procedure(
         return Allocation(tuple(bundles), pool)
 
     if not any(above):
-        return assemble({0: x1, 1: x2, 2: x3}), ElseTrace(1, False)
+        return assemble({0: x1, 1: x2, 2: x3}), 1, False
 
     # Relabel the higher-budget agents so the one below the threshold is "3".
     swapped = above[1]
@@ -317,7 +314,7 @@ def else_procedure(
     x_lo = x2 if swapped else x3
 
     if _int_value(instance, hi, x_hi) >= _int_value(instance, hi, x1):
-        return assemble({0: x1, 1: x2, 2: x3}), ElseTrace(2, swapped)
+        return assemble({0: x1, 1: x2, 2: x3}), 2, swapped
 
     empty_and_x1 = assemble({0: frozenset(), hi: x1})
     share_result = efx_2a(instance, (0, hi), empty_and_x1)
@@ -337,10 +334,7 @@ def else_procedure(
     else:
         x1_final = x1_share
 
-    return (
-        assemble({0: x1_final, hi: x_hi_share, lo: x_lo_kept}),
-        ElseTrace(3, swapped),
-    )
+    return assemble({0: x1_final, hi: x_hi_share, lo: x_lo_kept}), 3, swapped
 
 
 def _monopoly_low(
@@ -433,12 +427,12 @@ def efx_3a(
         opt_on_pool = max_nsw_allocation(reduced, range(3), pool, search)
         result = equal_budget_procedure(reduced, opt_on_pool, search)
     else:
-        result, trace = else_procedure(work, pool, above, search)
-        branch = f"else_return{trace.return_point}"
-        if trace.swapped_roles:
+        result, return_point, swapped = else_procedure(work, pool, above, search)
+        branch = f"else_return{return_point}"
+        if swapped:
             notes.append("higher-budget agents relabeled: original role 2 was "
                          "below the monopoly threshold")
-        if trace.return_point == 3:
+        if return_point == 3:
             notes.append(
                 "efficiency floor for this branch uses the (1 - 11*alpha) "
                 "constant backed by the bound derivation"

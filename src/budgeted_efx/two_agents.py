@@ -20,6 +20,7 @@ from .model import (
     InvariantViolationError,
     StructuralError,
     _efx_envies,
+    _envious,
     _fits,
     _int_value,
     _knapsack,
@@ -263,7 +264,7 @@ def efx_2a(
             bundles[j] for j in range(3) if j not in (be, bd)
         )
         for agent, val in ((envier, val_e), (envied, val_d)):
-            if best_value(agent, third) > val:
+            if _envious(instance, agent, third, val):
                 return None
         lower = envier if (
             (budgets[envier], envier) < (budgets[envied], envied)
@@ -272,7 +273,7 @@ def efx_2a(
         low_val, high_val = (
             (val_e, val_d) if lower == envier else (val_d, val_e)
         )
-        if best_value(lower, leftover) > low_val:
+        if _envious(instance, lower, leftover, low_val):
             return None
         if _efx_envies(instance, higher, leftover, high_val):
             return None

@@ -693,7 +693,7 @@ class TestCanonicalReports:
     def assert_written_as_json_dumps(report):
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
-            cli_mod._write_report(report, None)
+            cli_mod._emit(cli_mod._canonical_json(report), None)
         assert text.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
     @settings(deadline=None, max_examples=60)

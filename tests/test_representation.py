@@ -135,7 +135,7 @@ class TestConstructor:
     def test_integer_instances_share_unit_scales_and_hold_no_views(self):
         a = Instance((1, 2), (3, 4), ((5, 6), (7, 8)))
         b = Instance([0], [9, 9], [[0], [1]])
-        assert a._value_scales is b._value_scales == (1, 1)
+        assert a._value_scales == b._value_scales == (1, 1)
         # No __dict__ until a view is read: the instance refers to no dict.
         assert not any(isinstance(r, dict) for r in gc.get_referents(a))
         a.budgets
@@ -147,7 +147,8 @@ class TestConstructor:
         inst = Instance(costs, budgets, values)
         assert inst._int_costs is costs
         assert inst._int_budgets is budgets
-        assert inst._int_values is values
+        assert inst._int_values == values
+        assert inst._int_values[0] is row
 
     def test_reading_budgets_builds_no_values(self):
         inst = Instance((F(1, 2),), (1, 2), ((F(1, 3),), (4,)))

@@ -1,0 +1,64 @@
+"""Smoke runs of the scripts under ``scripts/``: each exits 0 on a small
+input. ``solve_stages.py`` wraps private ``cli`` and ``oracles`` functions
+by name, so a renamed helper fails here, and one that is no longer called
+leaves its stage without time."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import budgeted_efx
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+STAGES = (
+    "argv",
+    "read and parse",
+    "welfare walks",
+    "pipeline",
+    "report certificates",
+    "canonical JSON",
+    "file write",
+)
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(budgeted_efx.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("algorithm", ["efx2", "efx3"])
+def test_solve_stages_charges_every_stage(algorithm, tmp_path):
+    table = tmp_path / "stages.json"
+    out = run_script(
+        "solve_stages.py", "--algorithm", algorithm, "--count", "20", "--rounds", "1",
+        "--json", str(table),
+    )
+    assert out.startswith(f"{algorithm}: ")
+    for stage in STAGES:
+        assert f"  {stage} " in out
+    stages = json.loads(table.read_text())["stages"]
+    assert list(stages) == list(STAGES)
+    assert all(row["us_per_solve"] > 0 for row in stages.values())
+
+
+@pytest.mark.parametrize("agents", [2, 3])
+def test_ratio_histogram(agents):
+    out = run_script("ratio_histogram.py", "--agents", str(agents), "--count", "5")
+    assert "5 instances | min " in out
+
+
+def test_bench_pairs_help():
+    assert "usage: bench_pairs.py" in run_script("bench_pairs.py", "--help")

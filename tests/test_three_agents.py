@@ -24,6 +24,7 @@ from budgeted_efx.oracles import (
 from budgeted_efx.three_agents import (
     AlphaParams,
     efx_3a,
+    else_procedure,
     equal_budget_procedure,
     preprocess,
     round_robin_self_split,
@@ -400,6 +401,41 @@ class TestPipelineBranches:
         assert result.final_product == 2700 and result.opt_product == 15840
         assert is_efx(inst, result.allocation)
         assert any("1 - 11*alpha" in n or "11" in n for n in result.notes)
+
+    def test_lowest_budget_agent_grabs_from_what_the_agent_below_kept(self):
+        # Agent 0 affords good 3 or good 4, not both, and takes 3. Agent 1
+        # (above the threshold) wants 3 more than her pair bundle {6}, so
+        # she takes 3 in the share and agent 0 is left with nothing. Agent
+        # 2 (below the threshold) keeps {4} of {4, 5}, and agent 0 grabs it.
+        inst = build(
+            [1, 1, 1, 6, 6, 20, 1],
+            [10, 30, 30],
+            [
+                [100, 0, 0, 10, 5, 0, 0],
+                [0, 100, 0, 20, 0, 0, 10],
+                [0, 0, 100, 0, 1, 50, 0],
+            ],
+        )
+        result = efx_3a(inst)
+        assert result.branch == "else_return3"
+        assert result.setaside_goods == (0, 1, 2)
+        assert result.setaside_taken == (True, True, True)
+        assert result.monopoly_low == (F(3, 13), F(1, 150))
+        assert result.allocation.bundles == (
+            frozenset({0}),
+            frozenset({1}),
+            frozenset({2}),
+        )
+        assert result.final_product == 1000000 and result.opt_product == 2047500
+        assert is_efx(inst, result.allocation)
+
+        # Every agent then takes her set-aside good, so the grab shows only
+        # in the branch's own allocation.
+        work, _, pool, _ = normalized_pipeline_prefix(inst)
+        allocation, return_point, swapped = else_procedure(work, pool, (True, False))
+        assert (return_point, swapped) == (3, False)
+        assert allocation.bundles == (frozenset({4}), frozenset({3}), frozenset())
+        assert allocation.unallocated() == {5, 6}
 
     def test_equal_budgets_reduce_to_the_shared_core(self):
         inst = build(

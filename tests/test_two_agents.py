@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from budgeted_efx.model import (
+    InvariantViolationError,
     StructuralError,
     bundle_cost,
     bundle_value,
@@ -370,6 +371,34 @@ class TestEfx2a:
         assert result.branch == "removal_loop_certified"
         assert result.iterations == 2
         assert result.allocation.bundles == (frozenset({1, 5}), frozenset({6, 7}))
+        assert_result_invariants(inst, seed, result)
+
+    def test_certified_rebuild_with_the_envied_agent_on_the_lower_budget(self):
+        # gen_instances(21, 89, 2, (2, 10))[88] from a random feasible
+        # seed: the envier has the higher budget, so the leftover goods are
+        # checked against the envied agent's envy
+        inst = build([16, 14, 5, 11], [271, 194], [[20, 3, 4, 19], [14, 20, 18, 13]])
+        seed = make_allocation(inst, [{3}, {0, 1, 2}])
+        result = efx_2a(inst, (0, 1), seed)
+        assert result.branch == "removal_loop_certified"
+        assert result.envier == 0
+        assert result.iterations == 1
+        assert result.allocation.bundles == (frozenset({0}), frozenset({1, 2}))
+        assert_result_invariants(inst, seed, result)
+
+    @pytest.mark.xfail(raises=InvariantViolationError, strict=True)
+    def test_certified_rebuild_from_a_seed_where_it_finds_nothing(self):
+        """A known defect (ROADMAP item 8): from this budget-feasible seed no
+        assignment over the three configurations passes every check, so the
+        pair procedure raises. Fixing it makes this test pass, and strict
+        xfail then reports it."""
+        inst = build(
+            [5, 10, 7, 15, 0, 6, 20, 19],
+            [46, 72],
+            [[6, 18, 9, 9, 11, 15, 13, 14], [16, 8, 9, 19, 8, 0, 2, 14]],
+        )
+        seed = make_allocation(inst, [{3, 4, 5}, {0, 1, 6, 7}])
+        result = efx_2a(inst, (0, 1), seed)
         assert_result_invariants(inst, seed, result)
 
     def test_every_feasible_seed_on_small_instances(self):
