@@ -16,7 +16,10 @@ most the bound times the parent's median, or when every run of the change
 beats every run of the parent; an unresolved metric's ``within_bound`` says
 nothing either way. It also writes each pair's change/parent ratio and the
 median of those ratios: drift of the host moves both runs of a pair
-together, so the ratios scatter less than either side's runs. It records whether the
+together, so the ratios scatter less than either side's runs. A pair whose
+ratio is above 2 or below 1/2 is listed in ``drift_pairs`` (its position in
+``pair_ratios``) and printed: no program change moves one pair that far while
+leaving the others, so such a pair points at the host. It records whether the
 digests over every operation agree in each pair. The result goes under
 ``workloads.W`` of the output file; the file's other keys are kept, so one
 file can collect several workloads.
@@ -79,6 +82,7 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "change_wins": sum(better(b, a) for a, b in zip(parent, change)),
         "pair_ratios": ratios,
         "median_pair_ratio": statistics.median(ratios),
+        "drift_pairs": [k for k, r in enumerate(ratios) if r > 2 or r < 1 / 2],
         "pairs": len(parent),
         "parent_quartile_spread": spread,
         "gain_beyond_spread": better(c["median"], p["median"])
@@ -111,6 +115,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.workload} seed {seed} {side}: {pair[side]['metrics']}", flush=True)
         runs.append(pair)
 
+    metrics = {
+        m["name"]: compare(
+            m,
+            [r["parent"]["metrics"][m["name"]] for r in runs],
+            [r["change"]["metrics"][m["name"]] for r in runs],
+        )
+        for m in bench["end_to_end"]
+    }
+    for name, metric in metrics.items():
+        for k in metric["drift_pairs"]:
+            print(f"{args.workload} {name}: seed {args.seeds[k]} change/parent ratio "
+                  f"{metric['pair_ratios'][k]:.3g}, host drift?", flush=True)
+
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("workloads", {})[args.workload] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S"
@@ -124,14 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         "digests_equal": all(
             r["parent"]["digest_all"] == r["change"]["digest_all"] for r in runs
         ),
-        "metrics": {
-            m["name"]: compare(
-                m,
-                [r["parent"]["metrics"][m["name"]] for r in runs],
-                [r["change"]["metrics"][m["name"]] for r in runs],
-            )
-            for m in bench["end_to_end"]
-        },
+        "metrics": metrics,
         "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -403,9 +403,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # An empty suite would print a TOTAL row that passes nothing.
         raise ParseError(f"--count must be at least 1, got {count}")
     search = _search_budget(args.cap)
-    instances = gen_instances(
-        seed, count, suite.agents, suite.goods, (0, 20), (0, 20), 10
-    )
+    instances = gen_instances(seed, count, suite.agents, suite.goods)
 
     repro_dir = Path(args.out).parent if args.out else Path.cwd()
     rows: list[dict] = []

@@ -332,17 +332,14 @@ def gen_instances(
     count: int,
     n: int,
     m_range: tuple[int, int],
-    cost_range: tuple[int, int] = (0, 20),
-    value_range: tuple[int, int] = (0, 20),
     budget_spread: int = 10,
-    max_retries: int = 1000,
 ) -> list[Instance]:
     """Deterministic batch of solvable random instances.
 
-    Integer costs and values are uniform over their ranges, and go into
-    each instance's integer form as they are. Budgets are
-    uniform over [base, base * budget_spread] for a base drawn once per
-    instance, so the largest-to-smallest budget ratio stays within
+    Integer costs and values are uniform over 0..20, and go into each
+    instance's integer form as they are. Budgets are uniform over
+    [base, base * budget_spread] for a base drawn once per instance from
+    1..40, so the largest-to-smallest budget ratio stays within
     ``budget_spread`` (spread 1 means equal budgets). Instances where some
     agent cannot reach a positive value are resampled, so normalization
     never rejects a generated instance.
@@ -351,29 +348,23 @@ def gen_instances(
         raise GenerationError("generator supports 2 or 3 agents")
     if m_range[0] < 1 or m_range[0] > m_range[1]:
         raise GenerationError(f"bad goods range {m_range}")
-    if cost_range[0] < 0 or cost_range[0] > cost_range[1]:
-        raise GenerationError(f"bad cost range {cost_range}")
-    if value_range[0] < 0 or value_range[0] > value_range[1]:
-        raise GenerationError(f"bad value range {value_range}")
     if budget_spread < 1:
         raise GenerationError("budget spread must be at least 1")
 
     rng = random.Random(seed)
     out: list[Instance] = []
     for _ in range(count):
-        for _attempt in range(max_retries):
+        for _attempt in range(1000):
             m = rng.randint(*m_range)
-            costs = [rng.randint(*cost_range) for _ in range(m)]
-            base = rng.randint(max(1, cost_range[0]), max(2, 2 * cost_range[1]))
+            costs = [rng.randint(0, 20) for _ in range(m)]
+            base = rng.randint(1, 40)
             budgets = [rng.randint(base, base * budget_spread) for _ in range(n)]
-            values = [[rng.randint(*value_range) for _ in range(m)] for _ in range(n)]
+            values = [[rng.randint(0, 20) for _ in range(m)] for _ in range(n)]
             if _has_positive_product(costs, budgets, values):
                 out.append(
                     Instance(tuple(costs), tuple(budgets), tuple(map(tuple, values)))
                 )
                 break
         else:
-            raise GenerationError(
-                f"could not draw a solvable instance within {max_retries} tries"
-            )
+            raise GenerationError("could not draw a solvable instance within 1000 tries")
     return out

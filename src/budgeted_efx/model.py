@@ -29,7 +29,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Bundle = frozenset
 RationalLike = Union[Fraction, int, str]
@@ -358,6 +358,12 @@ def make_allocation(
     return Allocation(checked, scope_set)
 
 
+def _assemble(instance: Instance, parts: dict, scope: Iterable[int]) -> Allocation:
+    # The allocation of ``scope`` giving each agent of ``parts`` (checked
+    # ids) her goods there, and every other agent of the instance nothing.
+    return Allocation(tuple([parts.get(a, ()) for a in range(instance.num_agents)]), scope)
+
+
 def _check_count(instance: Instance, count: int) -> None:
     if count != len(instance._int_budgets):
         raise StructuralError(f"expected {instance.num_agents} bundles, got {count}")
@@ -520,6 +526,14 @@ def _best_within(front: list, room: int) -> int:
     return front[bisect_right(front, room, key=itemgetter(0)) - 1][1]
 
 
+def _density_key(largest: int) -> Callable[[tuple[int, int]], int]:
+    """The key floor(v * C^2 / c) of a (cost c, value v) pair, 0 < c <= C =
+    ``largest``. It orders densities exactly: two different densities v/c
+    and v'/c' differ by at least 1/(c c') >= 1/C^2, so their keys do too."""
+    square = largest * largest
+    return lambda pair: pair[1] * square // pair[0]
+
+
 def _beats(costs: list, vals: list, cap: int, own: int, agent: int) -> bool:
     """Whether some subset of the goods, at cost at most ``cap``, is worth
     more than ``own``.
@@ -531,9 +545,8 @@ def _beats(costs: list, vals: list, cap: int, own: int, agent: int) -> bool:
     goods that fit in its room, plus floor(room * v / c) of the good that
     does not. The answer is True at the first entry whose whole goods
     already beat ``own``, and False once no entry is left. Zero-cost goods
-    are always taken and zero-value goods never help. Densities are
-    ordered exactly: with C the largest cost, two different densities v/c
-    differ by at least 1/C^2, so their keys floor(v * C^2 / c) differ.
+    are always taken and zero-value goods never help. Densities are ordered
+    by :func:`_density_key`.
 
     Raises :class:`SearchCapExceededError` once the frontiers have held more
     than ``_FRONTIER_ENTRIES`` entries.
@@ -552,8 +565,7 @@ def _beats(costs: list, vals: list, cap: int, own: int, agent: int) -> bool:
         return True
     if not items:
         return False
-    square = max(c for c, _ in items) ** 2
-    items.sort(key=lambda cv: cv[1] * square // cv[0], reverse=True)
+    items.sort(key=_density_key(max(c for c, _ in items)), reverse=True)
     # Prefix sums of cost and value in density order.
     pc, pv = [0], [0]
     for c, v in items:
@@ -669,32 +681,40 @@ def efx_violation(instance: Instance, allocation: Allocation) -> EfxViolation | 
 def _efx_violation(
     instance: Instance, bundles: Sequence[Bundle], own_values: list[int]
 ) -> EfxViolation | None:
-    for i, own in enumerate(own_values):
-        for j, target in enumerate(bundles):
-            if i == j or not _efx_envies(instance, i, target, own):
-                continue
-            # The smallest good whose removal still leaves her more than
-            # ``own``; one exists because she EFx-envies the target.
-            if _fits(instance, i, target):
-                row = instance._int_values[i]
-                total = _int_value(instance, i, target)
-                g = min(h for h in target if total - row[h] > own)
-            else:
-                g = next(h for h in sorted(target) if _envious(instance, i, target - {h}, own))
-            _, witness = _knapsack(instance, i, target - {g}, instance._int_budgets[i])
-            return EfxViolation(i, j, tuple(sorted(witness | {g})), g)
+    # The first pair, then its witness.
+    for i, j in _envy_pairs(instance, range(len(bundles)), bundles, own_values, _efx_envies):
+        target, own = bundles[j], own_values[i]
+        # The smallest good whose removal still leaves her more than
+        # ``own``; one exists because she EFx-envies the target.
+        if _fits(instance, i, target):
+            row = instance._int_values[i]
+            total = _int_value(instance, i, target)
+            g = min(h for h in target if total - row[h] > own)
+        else:
+            g = next(h for h in sorted(target) if _envious(instance, i, target - {h}, own))
+        _, witness = _knapsack(instance, i, target - {g}, instance._int_budgets[i])
+        return EfxViolation(i, j, tuple(sorted(witness | {g})), g)
     return None
 
 
+def _envy_pairs(
+    instance: Instance, agents: Sequence[int], bundles: Sequence[Bundle], own_values, test
+) -> Iterator[tuple[int, int]]:
+    # The ordered pairs (i, j) of distinct ``agents`` for which
+    # ``test(instance, i, bundles[j], own_values[i])`` holds, lazily, i then
+    # j in the order of ``agents``; bundles and values are indexed by id.
+    for i in agents:
+        own = own_values[i]
+        for j in agents:
+            if i != j and test(instance, i, bundles[j], own):
+                yield i, j
+
+
 def _no_pair(instance: Instance, allocation: Allocation, envious) -> bool:
-    # Whether ``envious(instance, i, bundles[j], own value of i)`` is False
-    # for every pair of agents i != j.
-    bundles = allocation.bundles
-    for i, own in enumerate(_own_values(instance, allocation)):
-        for j, target in enumerate(bundles):
-            if i != j and envious(instance, i, target, own):
-                return False
-    return True
+    # Whether ``envious`` holds for no pair of agents, each at her own value.
+    own_values = _own_values(instance, allocation)
+    agents = range(len(own_values))
+    return not any(_envy_pairs(instance, agents, allocation.bundles, own_values, envious))
 
 
 def is_efx(instance: Instance, allocation: Allocation) -> bool:

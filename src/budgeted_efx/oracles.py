@@ -23,10 +23,13 @@ from .model import (
     SearchCapExceededError,
     StructuralError,
     ZERO,
+    _FRONTIER_ENTRIES,
+    _assemble,
     _efx_envies,
+    _envy_pairs,
     _fits,
-    _int_value,
     _own_values,
+    _values,
     to_rational,
 )
 
@@ -88,6 +91,24 @@ class _Counter:
 def _suffix_sums(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     # For each row, [sum(row[idx:]) for idx in range(len(row) + 1)].
     return [list(itertools.accumulate(reversed(row), initial=0))[::-1] for row in rows]
+
+
+def _search_frame(
+    instance: Instance, agents: Iterable[int], pool: Iterable[int], count_ok, count_error: str
+) -> tuple:
+    """A walk's start: the distinct agents ascending, the pool, its goods
+    ascending, the agents' values of them and their :func:`_suffix_sums`.
+    Checks in order: ``count_ok`` of the number of agents (else raises
+    ``count_error``), each agent id, the pool."""
+    agents = tuple(sorted(set(agents)))
+    if not count_ok(len(agents)):
+        raise StructuralError(count_error)
+    for a in agents:
+        instance.check_agent(a)
+    pool = instance.check_bundle(pool)
+    goods = sorted(pool)
+    vals = [[instance._int_values[a][g] for g in goods] for a in agents]
+    return agents, pool, goods, vals, _suffix_sums(vals)
 
 
 def max_nsw_allocation(
@@ -186,20 +207,13 @@ def _welfare_walk(
     on the scales, and the product returned is the best product times
     prod(L_a).
     """
-    agents = tuple(sorted(set(agents)))
-    if not agents:
-        raise StructuralError("at least one agent required")
-    for a in agents:
-        instance.check_agent(a)
-    pool = instance.check_bundle(pool)
-    goods = sorted(pool)
+    agents, pool, goods, vals, suffix = _search_frame(
+        instance, agents, pool, lambda count: count > 0, "at least one agent required"
+    )
     k = len(agents)
     n = len(goods)
-
     costs = [instance._int_costs[g] for g in goods]
     caps = [instance._int_budgets[a] for a in agents]
-    vals = [[row[g] for g in goods] for row in map(instance._int_values.__getitem__, agents)]
-    suffix = _suffix_sums(vals)
 
     # The exclusivity bound: for weights w_a > 0, AM-GM gives
     # prod y_a <= (sum w_a y_a)^k / (k^k prod w_a), and each remaining good
@@ -214,11 +228,11 @@ def _welfare_walk(
     spread = k**k * math.prod(weights)
 
     def to_allocation(codes: Sequence[int]) -> Allocation:
-        bundles: list[set[int]] = [set() for _ in range(instance.num_agents)]
+        parts: dict[int, list[int]] = {a: [] for a in agents}
         for g, code in zip(goods, codes):
             if code < k:
-                bundles[agents[code]].add(g)
-        return Allocation(tuple(frozenset(b) for b in bundles), pool)
+                parts[agents[code]].append(g)
+        return _assemble(instance, parts, pool)
 
     counter = _Counter(budget.max_assignments)
     spent = [0] * k
@@ -303,19 +317,13 @@ def complete_efx_allocation(
     every leaf below is not EFx: the first EFx assignment is the one the
     unpruned enumeration would return. The cap counts the leaves reached.
     """
-    agents = tuple(sorted(set(agents)))
-    if len(agents) != 3:
-        raise StructuralError("complete EFx search is defined for exactly 3 agents")
-    for a in agents:
-        instance.check_agent(a)
-    pool = instance.check_bundle(pool)
+    agents, pool, goods, vals, rest = _search_frame(
+        instance, agents, pool, lambda count: count == 3,
+        "complete EFx search is defined for exactly 3 agents",
+    )
     if not all(_fits(instance, a, pool) for a in agents):
         raise StructuralError("pool must be affordable within every agent's budget")
-
-    goods = sorted(pool)
     n = len(goods)
-    vals = [[instance._int_values[a][g] for g in goods] for a in agents]
-    rest = _suffix_sums(vals)
     # Cell 3 * i + j holds v_i(P_j) and min_i(P_j). An empty part's minimum
     # exceeds every sum of agent i's values, so it never shows envy.
     total = [0] * 9
@@ -356,21 +364,13 @@ def complete_efx_allocation(
     found = walk(0)
     del walk  # as in _welfare_walk
     if found:
-        bundles: list[Bundle] = [frozenset()] * instance.num_agents
-        for ai, a in enumerate(agents):
-            bundles[a] = frozenset(parts[ai])
+        allocation = _assemble(instance, dict(zip(agents, parts)), pool)
         # Cross-check the three agents against each other only: any other
         # agent of the instance holds nothing and is no part of the claim.
-        if any(
-            _efx_envies(instance, a, bundles[b], _int_value(instance, a, bundles[a]))
-            for a in agents
-            for b in agents
-            if a != b
-        ):
-            raise InvariantViolationError(
-                "fast EFx test disagrees with the general predicate"
-            )
-        return Allocation(tuple(bundles), pool)
+        bundles = allocation.bundles
+        if any(_envy_pairs(instance, agents, bundles, _values(instance, bundles), _efx_envies)):
+            raise InvariantViolationError("fast EFx test disagrees with the general predicate")
+        return allocation
 
     raise ExistenceViolationError(
         "no complete EFx allocation found despite the affordability "
@@ -396,9 +396,16 @@ def leximin_pp_split(
 
     Guarantees u(second) >= u(first minus any single good): if that failed
     for some good, moving the good across would improve the signature.
+    Past the knapsack's frontier cap of subsets, raises
+    :class:`SearchCapExceededError` before valuing any.
     """
     goods = sorted(frozenset(pool))
     n = len(goods)
+    if 1 << n > _FRONTIER_ENTRIES:
+        raise SearchCapExceededError(
+            f"leximin split of {n} goods would value 2^{n} subsets, past the cap "
+            f"of {_FRONTIER_ENTRIES}"
+        )
     full = (1 << n) - 1
     # Each subset is valued once; the complement of ``mask`` is ``full ^ mask``.
     parts = [

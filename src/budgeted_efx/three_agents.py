@@ -23,8 +23,11 @@ from .model import (
     Instance,
     InvariantViolationError,
     StructuralError,
+    _assemble,
     _check_count,
+    _density_key,
     _envious,
+    _envy_pairs,
     _from_form,
     _int_value,
     _knapsack,
@@ -170,9 +173,7 @@ def trim_to_budget_share(
     """
     # On the integer form: a bundle fits the 1/n share of budget B when n
     # times its cost is at most B, and one agent's densities compare as
-    # her integer values over the integer costs. With C the largest cost,
-    # two different densities v/c differ by at least 1/C^2, so the keys
-    # floor(v * C^2 / c) order them exactly.
+    # her integer values over the integer costs.
     _check_count(instance, len(opt_on_pool.bundles))
     budgets = set(instance._int_budgets)
     if len(budgets) != 1:
@@ -180,14 +181,14 @@ def trim_to_budget_share(
     (budget,) = budgets
     n = instance.num_agents
     costs = instance._int_costs
-    square = max(costs, default=0) ** 2
+    density = _density_key(max(costs, default=0))
     trimmed: list[Bundle] = []
     for i, row in enumerate(instance._int_values):
         kept = set(instance.check_bundle(opt_on_pool.bundles[i]))
         spent = sum([costs[g] for g in kept])
         while n * spent > budget:
             droppable = [g for g in kept if costs[g] > 0]
-            g = min(droppable, key=lambda h: (row[h] * square // costs[h], h))
+            g = min(droppable, key=lambda h: (density((costs[h], row[h])), h))
             kept.remove(g)
             spent -= costs[g]
         trimmed.append(frozenset(kept))
@@ -223,12 +224,7 @@ def equal_budget_procedure(
     ]
     for _ in range(ENVY_SWAP_CAP):
         bundles = allocation.bundles
-        envy = {
-            (i, j)
-            for i, own in enumerate(_values(instance, bundles))
-            for j in agents
-            if i != j and _envious(instance, i, bundles[j], own)
-        }
+        envy = set(_envy_pairs(instance, agents, bundles, _values(instance, bundles), _envious))
         cycle = next((c for c in cycles if envy.issuperset(c)), None)
         if cycle is None:
             break
@@ -298,14 +294,8 @@ def else_procedure(
     x2 = pair_result.allocation.bundles[1]
     x3 = pair_result.allocation.bundles[2]
 
-    def assemble(by_agent: dict[int, Bundle]) -> Allocation:
-        bundles = [frozenset()] * instance.num_agents
-        for agent, bundle in by_agent.items():
-            bundles[agent] = bundle
-        return Allocation(tuple(bundles), pool)
-
     if not any(above):
-        return assemble({0: x1, 1: x2, 2: x3}), 1, False
+        return _assemble(instance, {0: x1, 1: x2, 2: x3}, pool), 1, False
 
     # Relabel the higher-budget agents so the one below the threshold is "3".
     swapped = above[1]
@@ -314,9 +304,9 @@ def else_procedure(
     x_lo = x2 if swapped else x3
 
     if _int_value(instance, hi, x_hi) >= _int_value(instance, hi, x1):
-        return assemble({0: x1, 1: x2, 2: x3}), 2, swapped
+        return _assemble(instance, {0: x1, 1: x2, 2: x3}, pool), 2, swapped
 
-    empty_and_x1 = assemble({0: frozenset(), hi: x1})
+    empty_and_x1 = _assemble(instance, {hi: x1}, pool)
     share_result = efx_2a(instance, (0, hi), empty_and_x1)
     x1_share = share_result.allocation.bundles[0]
     x_hi_share = share_result.allocation.bundles[hi]
@@ -334,7 +324,7 @@ def else_procedure(
     else:
         x1_final = x1_share
 
-    return assemble({0: x1_final, hi: x_hi_share, lo: x_lo_kept}), 3, swapped
+    return _assemble(instance, {0: x1_final, hi: x_hi_share, lo: x_lo_kept}, pool), 3, swapped
 
 
 def _monopoly_low(
@@ -394,49 +384,38 @@ def efx_3a(
     opt = max_nsw_allocation(instance, range(3), instance.all_goods(), search)
     # Welfare products are ints over the product of the value scales.
     scale = math.prod(instance._value_scales)
-    opt_product = Fraction(math.prod(_values(instance, opt.bundles)), scale)
 
-    if instance.num_goods <= 3:
-        return SolveResult(
-            allocation=opt,
-            branch="small_instance",
-            opt=opt,
-            opt_product=opt_product,
-            final_product=opt_product,
-            alpha=alpha.alpha,
-            role_order=(0, 1, 2),
-            setaside_goods=(None, None, None),
-            setaside_values=(Fraction(0),) * 3,
-            setaside_taken=(False, False, False),
-            monopoly_low=None,
-            notes=("optimum returned directly: at most 3 goods",),
-        )
-
-    normalized = normalize(instance, opt)
-    roles = tuple(sorted(range(3), key=lambda i: (instance._int_budgets[i], i)))
-    work = _permute_instance(normalized, roles)
-    opt_work = _permute_allocation(opt, roles)
-
-    pool, setaside = preprocess(work, opt_work)
-    lows, above = _monopoly_low(work, pool, alpha)
-
+    # Without the pipeline the optimum stands, each agent in her own role
+    # with nothing set aside.
+    roles, work, result = (0, 1, 2), instance, opt
+    setaside = SetAside((None,) * 3, (Fraction(0),) * 3)
+    monopoly_low = None
     notes: list[str] = []
-    if all(above):
-        branch = "equal_budget"
-        reduced = _equal_budgets(work)
-        opt_on_pool = max_nsw_allocation(reduced, range(3), pool, search)
-        result = equal_budget_procedure(reduced, opt_on_pool, search)
+    if instance.num_goods <= 3:
+        branch = "small_instance"
+        notes.append("optimum returned directly: at most 3 goods")
     else:
-        result, return_point, swapped = else_procedure(work, pool, above, search)
-        branch = f"else_return{return_point}"
-        if swapped:
-            notes.append("higher-budget agents relabeled: original role 2 was "
-                         "below the monopoly threshold")
-        if return_point == 3:
-            notes.append(
-                "efficiency floor for this branch uses the (1 - 11*alpha) "
-                "constant backed by the bound derivation"
-            )
+        roles = tuple(sorted(range(3), key=lambda i: (instance._int_budgets[i], i)))
+        work = _permute_instance(normalize(instance, opt), roles)
+        pool, setaside = preprocess(work, _permute_allocation(opt, roles))
+        lows, above = _monopoly_low(work, pool, alpha)
+        monopoly_low = tuple(Fraction(v, work._value_scales[i]) for i, v in zip((1, 2), lows))
+        if all(above):
+            branch = "equal_budget"
+            reduced = _equal_budgets(work)
+            opt_on_pool = max_nsw_allocation(reduced, range(3), pool, search)
+            result = equal_budget_procedure(reduced, opt_on_pool, search)
+        else:
+            result, return_point, swapped = else_procedure(work, pool, above, search)
+            branch = f"else_return{return_point}"
+            if swapped:
+                notes.append("higher-budget agents relabeled: original role 2 was "
+                             "below the monopoly threshold")
+            if return_point == 3:
+                notes.append(
+                    "efficiency floor for this branch uses the (1 - 11*alpha) "
+                    "constant backed by the bound derivation"
+                )
 
     # Each agent takes her set-aside good when she values it above her
     # bundle, in her units of the permuted instance.
@@ -447,26 +426,19 @@ def efx_3a(
         if taken[-1]:
             final_bundles[i] = frozenset({s})
 
-    back = [0, 0, 0]
-    for pos, agent in enumerate(roles):
-        back[agent] = pos
-    final = Allocation(
-        tuple(final_bundles[back[i]] for i in range(3)), instance.all_goods()
-    )
-    final_product = Fraction(math.prod(_values(instance, final.bundles)), scale)
-    m2, m3 = (Fraction(v, work._value_scales[i]) for i, v in zip((1, 2), lows))
-
+    back = [roles.index(agent) for agent in range(3)]  # each agent's role
+    final = Allocation(tuple([final_bundles[r] for r in back]), instance.all_goods())
     return SolveResult(
         allocation=final,
         branch=branch,
         opt=opt,
-        opt_product=opt_product,
-        final_product=final_product,
+        opt_product=Fraction(math.prod(_values(instance, opt.bundles)), scale),
+        final_product=Fraction(math.prod(_values(instance, final.bundles)), scale),
         alpha=alpha.alpha,
         role_order=roles,
-        setaside_goods=tuple(setaside.goods[back[i]] for i in range(3)),
-        setaside_values=tuple(setaside.values[back[i]] for i in range(3)),
-        setaside_taken=tuple(taken[back[i]] for i in range(3)),
-        monopoly_low=(m2, m3),
+        setaside_goods=tuple([setaside.goods[r] for r in back]),
+        setaside_values=tuple([setaside.values[r] for r in back]),
+        setaside_taken=tuple([taken[r] for r in back]),
+        monopoly_low=monopoly_low,
         notes=tuple(notes),
     )

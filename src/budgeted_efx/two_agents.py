@@ -19,6 +19,7 @@ from .model import (
     Instance,
     InvariantViolationError,
     StructuralError,
+    _assemble,
     _efx_envies,
     _envious,
     _fits,
@@ -193,15 +194,14 @@ def efx_2a(
     a_envies = _efx_envies(instance, a, xb, own_values[a])
     b_envies = _efx_envies(instance, b, xa, own_values[b])
 
-    def result(bundle_a, bundle_b, matched, branch, envier, iterations):
-        bundles: list[Bundle] = [frozenset()] * instance.num_agents
-        bundles[a], bundles[b] = frozenset(bundle_a), frozenset(bundle_b)
-        final = Allocation(tuple(bundles), scope)
-        leftout = (matched[0] - bundles[a]) | (matched[1] - bundles[b])
+    def result(parts, matched, branch, envier, iterations):
+        # Each agent's final bundle in ``parts``, her matched one in ``matched``.
+        final = _assemble(instance, parts, scope)
+        leftout = (matched[a] - final.bundles[a]) | (matched[b] - final.bundles[b])
         unallocated = final.unallocated() - leftout
         return TwoAgentResult(
             allocation=final,
-            matched=matched,
+            matched=(matched[a], matched[b]),
             unallocated_r=unallocated,
             leftout_rprime=leftout,
             branch=branch,
@@ -222,12 +222,11 @@ def efx_2a(
         return _knapsack(instance, agent, bundle, budgets[agent])[0]
 
     if not a_envies and not b_envies:
-        return result(xa, xb, (xa, xb), "already_efx", None, 0)
+        return result({a: xa, b: xb}, {a: xa, b: xb}, "already_efx", None, 0)
 
     if a_envies and b_envies:
-        take_a = take_best_affordable(a, xb)
-        take_b = take_best_affordable(b, xa)
-        return result(take_a, take_b, (xb, xa), "mutual_swap", None, 0)
+        swapped = {a: take_best_affordable(a, xb), b: take_best_affordable(b, xa)}
+        return result(swapped, {a: xb, b: xa}, "mutual_swap", None, 0)
 
     envier, envied = (a, b) if a_envies else (b, a)
     x_envier = allocation.bundles[envier]
@@ -260,18 +259,12 @@ def efx_2a(
         if _efx_envies(instance, envied, take_e, val_d):
             return None
         leftover = (bundles[be] - take_e) | (bundles[bd] - take_d)
-        third = next(
-            bundles[j] for j in range(3) if j not in (be, bd)
-        )
+        third = bundles[3 - be - bd]
         for agent, val in ((envier, val_e), (envied, val_d)):
             if _envious(instance, agent, third, val):
                 return None
-        lower = envier if (
-            (budgets[envier], envier) < (budgets[envied], envied)
-        ) else envied
-        higher = envied if lower == envier else envier
-        low_val, high_val = (
-            (val_e, val_d) if lower == envier else (val_d, val_e)
+        (lower, low_val), (higher, high_val) = sorted(
+            ((envier, val_e), (envied, val_d)), key=lambda av: (budgets[av[0]], av[0])
         )
         if _envious(instance, lower, leftover, low_val):
             return None
@@ -346,13 +339,6 @@ def efx_2a(
         bundles, be, bd = certified_selection(configurations)
         matched_envier = bundles[be]
         matched_envied = bundles[bd]
-    final_envier = take_best_affordable(envier, matched_envier)
-    final_envied = take_best_affordable(envied, matched_envied)
-
-    if envier == a:
-        bundle_a, bundle_b = final_envier, final_envied
-        matched_pair = (matched_envier, matched_envied)
-    else:
-        bundle_a, bundle_b = final_envied, final_envier
-        matched_pair = (matched_envied, matched_envier)
-    return result(bundle_a, bundle_b, matched_pair, branch, envier, iterations)
+    matched = {envier: matched_envier, envied: matched_envied}
+    final = {agent: take_best_affordable(agent, bundle) for agent, bundle in matched.items()}
+    return result(final, matched, branch, envier, iterations)

@@ -117,6 +117,25 @@ class TestSolve:
         assert code == 3
         assert "search budget exhausted" in err
 
+    def test_a_leximin_split_past_the_cap_exit_3(self, capsys, tmp_path):
+        # Agent 0 holds nothing and affords 5 of agent 1's 22 unit-cost
+        # goods, so the pair procedure splits agent 1's bundle: 2^22 subsets.
+        m = 22
+        instance = Instance((1,) * m, (5, m), ((1,) * m, (1,) * m))
+        path = tmp_path / "inst.json"
+        path.write_text(instance_to_json(instance))
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"bundles": [[], list(range(m))]}))
+        code, out, err = run(
+            capsys, "solve", str(path), "--algorithm", "efx2", "--seed-allocation", str(seed)
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: leximin split of {m} goods would value 2^{m} subsets, past the cap "
+            f"of {model._FRONTIER_ENTRIES}\n"
+        )
+
     def test_cap_env_var_is_honored(self, t1_path, capsys, monkeypatch):
         monkeypatch.setenv("BUDGETED_EFX_CAP", "2")
         code, _, _ = run(capsys, "solve", str(t1_path), "--algorithm", "oracle-nsw")
@@ -444,7 +463,7 @@ class TestBench:
             str(out_csv),
         )
         assert code == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
         assert len(rows) == 7  # six instances plus the summary
         assert rows[-1]["instance_id"] == "TOTAL"
         assert all(r["ratio_pass"] == "True" for r in rows)
@@ -462,7 +481,7 @@ class TestBench:
             str(out_csv),
         )
         assert code == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
         assert {r["algorithm"] for r in rows[:-1]} == {"efx3"}
         assert all(r["efx_pass"] == "True" for r in rows[:-1])
 
@@ -479,7 +498,7 @@ class TestBench:
             str(out_csv),
         )
         assert code == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
         assert all(r["ratio_pass"] == "True" for r in rows[:-1])
 
 
@@ -547,7 +566,7 @@ class TestBench:
         assert sorted(p.name for p in tmp_path.glob("repro_*")) == [
             "repro_two-agent_1.json"
         ]
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
         assert [r["instance_id"] for r in rows] == ["0"]
 
     @pytest.mark.parametrize("failure", ["raised", "reported"])
@@ -627,7 +646,7 @@ class TestSolveAndBenchAgree:
             "--out", str(out_csv),
         )
         assert code == 2
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
         assert [r["instance_id"] for r in rows if r["ratio_pass"] == "False"] == [
             "20",
             "TOTAL",

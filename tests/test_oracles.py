@@ -342,6 +342,22 @@ class TestCompleteEfxAllocation:
         assert out.bundles == literal_first_complete_efx(inst, agents, pool)
         assert not is_efx(inst, out)
 
+    def test_agent_ids_map_back_on_a_four_agent_instance(self):
+        """Agents 1, 2 and 3 get the parts of search positions 0, 1 and 2,
+        and agent 0 gets nothing, as in the literal enumeration."""
+        rng = random.Random(61)
+        for _ in range(30):
+            m = rng.randint(0, 6)
+            costs = [rng.randint(0, 4) for _ in range(m)]
+            budgets = [rng.randint(0, 30)] + [sum(costs) + rng.randint(0, 3) for _ in range(3)]
+            values = [[rng.randint(0, 5) for _ in range(m)] for _ in range(4)]
+            inst = build(costs, budgets, values)
+            pool = {g for g in range(m) if rng.random() < 0.85}
+            out = complete_efx_allocation(inst, (3, 1, 2), pool)
+            assert out.bundles == literal_first_complete_efx(inst, (1, 2, 3), pool)
+            assert out.bundles[0] == frozenset()
+            assert out.scope == frozenset(pool)
+
     def test_unaffordable_pool_rejected(self):
         inst = build([5, 5], [4, 9, 9], [[1, 1]] * 3)
         with pytest.raises(StructuralError):
@@ -396,6 +412,12 @@ class TestLeximinSplit:
         leximin_pp_split(range(n), u)
         assert len(valued) == 2**n
         assert len(set(valued)) == 2**n
+
+    def test_a_split_past_the_frontier_cap_raises_before_valuing(self):
+        valued = []
+        with pytest.raises(SearchCapExceededError, match="2\\^22 subsets"):
+            leximin_pp_split(range(22), valued.append)
+        assert valued == []
 
 
 class TestBestUnderPredicate:

@@ -3,6 +3,7 @@ input. ``solve_stages.py`` wraps private ``cli`` and ``oracles`` functions
 by name, so a renamed helper fails here, and one that is no longer called
 leaves its stage without time."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -62,3 +63,17 @@ def test_ratio_histogram(agents):
 
 def test_bench_pairs_help():
     assert "usage: bench_pairs.py" in run_script("bench_pairs.py", "--help")
+
+
+def test_bench_pairs_compare_flags_the_drifted_pair():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    metric = {"unit": "1/s", "better": "higher", "bound": 0.25}
+    # Pair 2 ran at 2.5 times the parent, pair 3 at exactly 2, pair 4 at 0.4.
+    parent = [100.0, 100.0, 100.0, 100.0, 100.0]
+    change = [101.0, 99.0, 250.0, 200.0, 40.0]
+    result = bench_pairs.compare(metric, parent, change)
+    assert result["pair_ratios"] == [1.01, 0.99, 2.5, 2.0, 0.4]
+    assert result["drift_pairs"] == [2, 4]
+    assert bench_pairs.compare(metric, parent, parent)["drift_pairs"] == []

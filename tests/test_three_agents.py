@@ -266,7 +266,7 @@ class TestEqualBudgetProcedure:
 
         monkeypatch.setattr(three_agents, "equal_budget_procedure", recording)
         for seed, goods, idx in cases:
-            efx_3a(gen_instances(seed, idx + 1, 3, goods, (0, 20), (0, 20), 10)[idx])
+            efx_3a(gen_instances(seed, idx + 1, 3, goods)[idx])
         assert len(inputs) == len(cases)
 
         starts = []
