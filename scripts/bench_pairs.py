@@ -9,20 +9,23 @@ change first on even ones, with T the ``run_seconds`` of the change's
 ``BENCHMARK.json``. For every end-to-end metric listed there it writes each
 side's runs, median and quartiles (``statistics.quantiles(n=4)``), the pairs
 the change won (ties count for neither), the parent's quartile spread,
-whether the change's median beats the parent's by more than that spread,
-and whether it is no worse than the parent's by more than the metric's
-bound. A metric is ``resolved`` when the parent's quartile spread is at
-most the bound times the parent's median, or when every run of the change
-beats every run of the parent; an unresolved metric's ``within_bound`` says
-nothing either way. It also writes each pair's change/parent ratio and the
-median of those ratios: drift of the host moves both runs of a pair
-together, so the ratios scatter less than either side's runs. A pair whose
-ratio is above 2 or below 1/2 is listed in ``drift_pairs`` (its position in
-``pair_ratios``) and printed: no program change moves one pair that far while
-leaving the others, so such a pair points at the host. It records whether the
-digests over every operation agree in each pair. The result goes under
-``workloads.W`` of the output file; the file's other keys are kept, so one
-file can collect several workloads.
+whether the change's median beats the parent's by more than that spread, and
+whether it is no worse than the parent's by more than the metric's bound. A
+gain is met (``gain_met``, printed) when the change wins at least ceil(0.9 x
+pairs) pairs and its median beats the parent's by more than the parent's
+quartile spread. A metric is ``resolved`` when the parent's quartile spread
+is at most the bound times the parent's median, or when every run of the
+change beats every run of the parent; an unresolved metric's
+``within_bound`` says nothing either way. It also writes each pair's
+change/parent ratio and the median of those ratios: drift of the host moves
+both runs of a pair together, so the ratios scatter less than either side's
+runs. A pair whose ratio is above 2 or below 1/2 is listed in
+``drift_pairs`` (its position in ``pair_ratios``) and printed: no program
+change moves one pair that far while leaving the others, so such a pair
+points at the host. It records whether the digests over every operation
+agree in each pair. The result goes under ``workloads.W`` of the output
+file; the file's other keys are kept, so one file can collect several
+workloads.
 
 Standard library only; each run is a fresh process in its checkout.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -73,20 +77,22 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     spread = p["q3"] - p["q1"]
     bound = metric["bound"]
     limit = p["median"] * (1 + bound if lower else 1 - bound)
+    wins = sum(better(b, a) for a, b in zip(parent, change))
+    beyond = better(c["median"], p["median"]) and abs(c["median"] - p["median"]) > spread
     return {
         "unit": metric["unit"],
         "better": metric["better"],
         "bound": bound,
         "parent": p,
         "change": c,
-        "change_wins": sum(better(b, a) for a, b in zip(parent, change)),
+        "change_wins": wins,
         "pair_ratios": ratios,
         "median_pair_ratio": statistics.median(ratios),
         "drift_pairs": [k for k, r in enumerate(ratios) if r > 2 or r < 1 / 2],
         "pairs": len(parent),
         "parent_quartile_spread": spread,
-        "gain_beyond_spread": better(c["median"], p["median"])
-        and abs(c["median"] - p["median"]) > spread,
+        "gain_beyond_spread": beyond,
+        "gain_met": beyond and wins >= math.ceil(0.9 * len(parent)),
         "within_bound": not better(limit, c["median"]),
         "resolved": spread <= bound * p["median"]
         or all(better(b, a) for a in parent for b in change),
@@ -127,6 +133,9 @@ def main(argv: list[str] | None = None) -> int:
         for k in metric["drift_pairs"]:
             print(f"{args.workload} {name}: seed {args.seeds[k]} change/parent ratio "
                   f"{metric['pair_ratios'][k]:.3g}, host drift?", flush=True)
+        if metric["gain_met"]:
+            print(f"{args.workload} {name}: gain met, {metric['change_wins']} of "
+                  f"{metric['pairs']} pairs won beyond the parent's spread", flush=True)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("workloads", {})[args.workload] = {

@@ -8,8 +8,7 @@ the final allocation, never copied out of algorithm state.
 
 Inputs are checked once, here and on entry to the solvers; a report's
 numbers come from one integer pass and become ``"p/q"`` text only in JSON.
-Documents are read as bytes, reports written as ASCII bytes, and argv goes
-to the named subcommand's parser (see :func:`_parse_args`).
+Documents are read as bytes, and reports written as ASCII bytes.
 """
 
 from __future__ import annotations
@@ -453,11 +452,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and each subcommand's parser by its name."""
     parser = argparse.ArgumentParser(
         prog="budgeted-efx",
         description=(
@@ -498,30 +492,17 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     bench.add_argument("--cap", type=int, default=None)
     bench.add_argument("--out", default=None, help="CSV path (stdout by default)")
     bench.set_defaults(func=cmd_bench)
-    return parser, {"solve": solve, "verify": verify, "bench": bench}
+    return parser
 
 
 # Built once per process: parsing leaves a parser unchanged, and help text is
 # formatted only when it is printed.
-_PARSER, _COMMANDS = _build_parsers()
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """What the full parser makes of ``argv``, at about half the cost: it
-    hands every word after a command word to that command's parser, which
-    is asked directly. The full parser is asked for anything else, and for
-    the error about words the command's parser leaves over."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return _PARSER.parse_args(argv)
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = _PARSER.parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

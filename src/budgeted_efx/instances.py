@@ -348,6 +348,8 @@ def gen_instances(
         raise GenerationError("generator supports 2 or 3 agents")
     if m_range[0] < 1 or m_range[0] > m_range[1]:
         raise GenerationError(f"bad goods range {m_range}")
+    if m_range[1] < n:
+        raise GenerationError(f"goods range {m_range} has fewer than {n} goods, one per agent")
     if budget_spread < 1:
         raise GenerationError("budget spread must be at least 1")
 

@@ -479,6 +479,15 @@ def _knapsack(instance: Instance, agent: int, pool: Iterable[int], cap: int) -> 
 _FRONTIER_ENTRIES = 1 << 21
 
 
+def _check_held(held: int, agent: int, goods: int) -> None:
+    # Raises once one knapsack call's frontiers have held past the cap.
+    if held > _FRONTIER_ENTRIES:
+        raise SearchCapExceededError(
+            f"knapsack frontiers of agent {agent} over {goods} goods "
+            f"reached {held} entries, past the cap of {_FRONTIER_ENTRIES}"
+        )
+
+
 def _with_good(front: list, cost: int, value: int, cap: int) -> list:
     # The Pareto frontier of the subsets in ``front`` with and without one
     # more good: (cost, value) pairs, cost ascending and at most ``cap``,
@@ -511,11 +520,7 @@ def _suffix_frontiers(costs: list, vals: list, cap: int, agent: int) -> list:
         front = _with_good(suffixes[-1], c, v, cap)
         if front is not suffixes[-1]:
             held += len(front)
-            if held > _FRONTIER_ENTRIES:
-                raise SearchCapExceededError(
-                    f"knapsack frontiers of agent {agent} over {len(costs)} goods "
-                    f"reached {held} entries, past the cap of {_FRONTIER_ENTRIES}"
-                )
+            _check_held(held, agent, len(costs))
         suffixes.append(front)
     suffixes.reverse()
     return suffixes
@@ -587,11 +592,7 @@ def _beats(costs: list, vals: list, cap: int, own: int, agent: int) -> bool:
         if not kept:
             return False
         held += len(kept)
-        if held > _FRONTIER_ENTRIES:
-            raise SearchCapExceededError(
-                f"knapsack frontiers of agent {agent} over {len(costs)} goods "
-                f"reached {held} entries, past the cap of {_FRONTIER_ENTRIES}"
-            )
+        _check_held(held, agent, len(costs))
         front = _with_good(kept, ck, vk, cap)
     # Each entry of the last merge is a kept entry with or without the last
     # good, and the loop compared both with ``own`` as whole goods.

@@ -407,24 +407,20 @@ def leximin_pp_split(
             f"of {_FRONTIER_ENTRIES}"
         )
     full = (1 << n) - 1
-    # Each subset is valued once; the complement of ``mask`` is ``full ^ mask``.
-    parts = [
-        frozenset(goods[i] for i in range(n) if mask >> i & 1)
-        for mask in range(full + 1)
-    ]
-    keys = [(valuation(part), len(part)) for part in parts]
-    # The orientations with the preferred part first, by their signatures.
-    signatures = {
-        mask: (*keys[full ^ mask], *keys[mask])
-        for mask in range(full + 1)
-        if keys[mask] >= keys[full ^ mask]
-    }
-    top = max(signatures.values())
-    best = min(
-        (mask for mask, sig in signatures.items() if sig == top),
-        key=lambda mask: sorted(parts[mask]),
-    )
-    return SplitPair(parts[best], parts[full ^ best])
+
+    def part(mask: int) -> Bundle:
+        return frozenset(goods[i] for i in range(n) if mask >> i & 1)
+
+    # Each subset is valued once and kept only as its (value, size) key; the
+    # complement of ``mask`` is ``full ^ mask``. A part is rebuilt only to
+    # break a tie or to be returned.
+    keys = [(valuation(p), len(p)) for p in map(part, range(full + 1))]
+    # The top signature (worse key, better key) over the orientations with
+    # the preferred part first; every mask that reaches it is one of them.
+    top = max((keys[full ^ m], keys[m]) for m in range(full + 1) if keys[m] >= keys[full ^ m])
+    tied = (m for m in range(full + 1) if keys[m] == top[1] and keys[full ^ m] == top[0])
+    best = min(tied, key=lambda m: sorted(part(m)))
+    return SplitPair(part(best), part(full ^ best))
 
 
 def best_allocation_under_predicate(

@@ -173,6 +173,33 @@ def literal_first_complete_efx(instance: Instance, agents, pool):
     return None
 
 
+def literal_leximin_pp_split(pool, valuation):
+    """The leximin++ 2-partition of ``pool`` under ``valuation``, as
+    ``(preferred, other)``.
+
+    Plain enumeration of side codes, goods in id order: code 0 puts a good in
+    the preferred part and code 1 in the other, and a code counts when the
+    preferred part's (value, size) is at least the other's. It is scored by
+    (u(worse), |worse|, u(better), |better|); ties go to the smallest sorted
+    preferred part.
+    """
+    goods = sorted(pool)
+    best = None
+    for codes in itertools.product((0, 1), repeat=len(goods)):
+        preferred = frozenset(g for g, side in zip(goods, codes) if side == 0)
+        other = frozenset(goods) - preferred
+        better = (valuation(preferred), len(preferred))
+        worse = (valuation(other), len(other))
+        if better < worse:
+            continue
+        score = (worse[0], worse[1], better[0], better[1])
+        if best is None or score > best[0] or (
+            score == best[0] and sorted(preferred) < sorted(best[1])
+        ):
+            best = (score, preferred, other)
+    return best[1], best[2]
+
+
 def literal_pareto_efficient(instance: Instance, allocation: Allocation) -> bool:
     """No way to hand out the goods, budgets ignored, leaves every agent at
     least as well off as ``allocation`` and one strictly better.

@@ -756,7 +756,7 @@ class TestUsage:
 
 
 class TestArgvDispatch:
-    """``main`` hands argv to the named subcommand's parser. For every argv,
+    """``main`` parses argv with the parser built at import. For every argv,
     what it does must be what a parser from ``build_parser()`` does with the
     whole argv: the same namespace when that parses, and the same exit code,
     stdout and stderr when it does not."""
@@ -786,7 +786,7 @@ class TestArgvDispatch:
             reference = capsys.readouterr()
             assert run(capsys, *argv) == (code, reference.out, reference.err)
         else:
-            assert vars(cli_mod._parse_args(argv)) == expected
+            assert vars(cli_mod._PARSER.parse_args(argv)) == expected
 
 
 class TestOneParser:

@@ -351,3 +351,9 @@ class TestGeneration:
     def test_impossible_requirements_fail_loudly(self):
         with pytest.raises(GenerationError):
             gen_instances(1, 1, 2, (3, 2))
+
+    def test_a_goods_range_below_the_agent_count_is_named(self):
+        # Fewer goods than agents can never give every agent a positive value.
+        with pytest.raises(GenerationError, match=r"goods range \(2, 2\) has fewer than 3"):
+            gen_instances(1, 1, 3, (2, 2))
+        assert len(gen_instances(1, 2, 3, (1, 3))) == 2

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from budgeted_efx.instances import gen_instances
 from budgeted_efx.model import (
@@ -31,6 +33,7 @@ from helpers import (
     build,
     literal_best_under_predicate,
     literal_first_complete_efx,
+    literal_leximin_pp_split,
     random_instance,
 )
 
@@ -418,6 +421,34 @@ class TestLeximinSplit:
         with pytest.raises(SearchCapExceededError, match="2\\^22 subsets"):
             leximin_pp_split(range(22), valued.append)
         assert valued == []
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.frozensets(st.integers(0, 30), max_size=8),
+        st.sampled_from(["len", "constant", "sum_mod_plus_len"]),
+        st.lists(st.integers(0, 5), min_size=31, max_size=31),
+        st.integers(1, 4),
+    )
+    def test_matches_the_literal_split_under_ties(self, pool, kind, weights, k):
+        # Tie-heavy valuations: many partitions share the top signature, so
+        # the smallest sorted preferred part decides.
+        valuation = {
+            "len": len,
+            "constant": lambda part: 3,
+            "sum_mod_plus_len": lambda part: sum(weights[g] for g in part) % k + len(part),
+        }[kind]
+        split = leximin_pp_split(pool, valuation)
+        assert (split.first, split.second) == literal_leximin_pp_split(pool, valuation)
+
+    def test_a_14_good_split_keeps_only_keys(self):
+        # One frozenset per subset takes about 13.5 MB here; the keys under 1.
+        tracemalloc.start()
+        try:
+            leximin_pp_split(range(14), lambda part: sum(part) % 3 + len(part))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
 
 
 class TestBestUnderPredicate:

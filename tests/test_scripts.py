@@ -77,3 +77,19 @@ def test_bench_pairs_compare_flags_the_drifted_pair():
     assert result["pair_ratios"] == [1.01, 0.99, 2.5, 2.0, 0.4]
     assert result["drift_pairs"] == [2, 4]
     assert bench_pairs.compare(metric, parent, parent)["drift_pairs"] == []
+
+
+@pytest.mark.parametrize("wins, met", [(10, True), (9, True), (8, False)])
+def test_bench_pairs_gain_needs_nine_of_ten_pairs_beyond_the_spread(wins, met):
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    metric = {"unit": "ms", "better": "lower", "bound": 0.25}
+    # The parent reads 100..109 ms (quartile spread 5.5), the change 80 ms on
+    # ``wins`` pairs and 200 ms on the rest: a median gain of about 25 ms.
+    parent = [100.0 + k for k in range(10)]
+    change = [80.0] * wins + [200.0] * (10 - wins)
+    result = bench_pairs.compare(metric, parent, change)
+    assert result["change_wins"] == wins
+    assert result["gain_beyond_spread"]
+    assert result["gain_met"] is met
