@@ -20,7 +20,11 @@ CPU time per solve and each stage's share:
 * file write: ``_emit``.
 
 Each stage is the time spent in its functions minus the time of the other
-stages they call. The wrappers cost about a microsecond per call.
+stages they call. The wrappers cost about a microsecond per call. One more
+line gives what a one-instance ``solve`` pays before argv: the thread CPU
+time of ``import budgeted_efx.cli`` in a fresh ``python -S`` process, the
+median of five such processes. The first writes the package's bytecode
+unless ``PYTHONDONTWRITEBYTECODE`` is set, and the others read it.
 
 The second form times ``max_nsw_allocation`` on every instance of each
 size, for 2 agents (m 2 to 10) and 3 agents (m 4 to 8), and counts the
@@ -36,6 +40,7 @@ import cProfile
 import json
 import pstats
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -93,6 +98,21 @@ class StageClock:
         return timed
 
 
+def import_us() -> float:
+    """Median thread CPU time, in microseconds, of importing the CLI in a
+    fresh ``python -S`` process; the package comes from ``PYTHONPATH``."""
+    probe = (
+        "import time; start = time.thread_time_ns(); import budgeted_efx.cli; "
+        "print(time.thread_time_ns() - start)"
+    )
+    times = [
+        int(subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                           text=True, check=True).stdout)
+        for _ in range(5)
+    ]
+    return round(statistics.median(times) / 1000, 1)
+
+
 def corpus(algorithm: str, seed: int, count: int) -> list:
     agents, m_range = (3, (4, 8)) if algorithm == "efx3" else (2, (2, 10))
     return gen_instances(seed, count, agents, m_range)
@@ -137,6 +157,7 @@ def stage_table(algorithm: str, seed: int, count: int, rounds: int) -> dict:
             }
             for stage, ns in clock.ns.items()
         },
+        "import_us": import_us(),
     }
 
 
@@ -195,6 +216,8 @@ def main(argv: list[str] | None = None) -> int:
               f"({args.count} instances x {args.rounds} rounds, seed {args.seed})")
         for stage, row in result["stages"].items():
             print(f"  {stage:20} {row['us_per_solve']:8.1f} us  {row['share']:6.1%}")
+        print(f"  {'package import':20} {result['import_us']:8.1f} us  "
+              "once per process (fresh python -S)")
     if args.json:
         args.json.write_text(json.dumps(result, indent=1) + "\n")
     return 0

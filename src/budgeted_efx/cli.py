@@ -14,13 +14,11 @@ Documents are read as bytes, and reports written as ASCII bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -44,6 +42,7 @@ from .model import (
     Instance,
     InvariantViolationError,
     StructuralError,
+    _Record,
     _efx_violation,
     _envious,
     _fits,
@@ -108,7 +107,7 @@ def _shared_fields(instance: Instance, allocation: Allocation) -> tuple[dict, li
         "budget_feasible": _budget_feasible(instance, allocation),
         "efx": {
             "pass": violation is None,
-            "witness": None if violation is None else asdict(violation),
+            "witness": None if violation is None else violation._asdict(),
         },
     }, values
 
@@ -338,8 +337,7 @@ def _measure_oracles(instance: Instance, search: SearchBudget) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class BenchSuite:
+class BenchSuite(_Record):
     """A guarantee suite: which instances to generate, and how to check one.
 
     ``measure`` runs the solver and the checks on one instance and returns
@@ -347,12 +345,24 @@ class BenchSuite:
     rationals in wire format), ratio_pass and efx_pass.
     """
 
-    algorithm: str
-    agents: int
-    goods: tuple[int, int]
-    seed: int
-    count: int
-    measure: Callable[[Instance, SearchBudget], dict]
+    __slots__ = _fields = ("algorithm", "agents", "goods", "seed", "count", "measure")
+
+    def __init__(
+        self,
+        algorithm: str,
+        agents: int,
+        goods: tuple[int, int],
+        seed: int,
+        count: int,
+        measure: Callable[[Instance, SearchBudget], dict],
+    ) -> None:
+        put = object.__setattr__
+        put(self, "algorithm", algorithm)
+        put(self, "agents", agents)
+        put(self, "goods", goods)
+        put(self, "seed", seed)
+        put(self, "count", count)
+        put(self, "measure", measure)
 
 
 # Default seeds are the frozen acceptance seeds; seed 3 covers all four
@@ -378,6 +388,8 @@ CSV_COLUMNS = [
 
 
 def _csv_table(rows: list[dict]) -> str:
+    import csv  # only bench writes CSV; solve and verify never load it
+
     table = io.StringIO()
     writer = csv.DictWriter(table, fieldnames=CSV_COLUMNS)
     writer.writeheader()

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -40,6 +39,7 @@ __all__ = [
     "DegenerateOptimumError",
     "EfxViolation",
     "FairDivisionError",
+    "FrozenInstanceError",
     "Instance",
     "InvariantViolationError",
     "KnapsackAnswer",
@@ -86,6 +86,59 @@ class InvariantViolationError(FairDivisionError):
 
 class SearchCapExceededError(FairDivisionError):
     """The enumeration cap was hit; the caller gets an error, never a guess."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An attempt to assign or delete an attribute of an immutable record."""
+
+
+class _Record:
+    """Base of the package's immutable records, :class:`Instance` among them.
+
+    A record lists its fields, in constructor order, in ``_fields``, and its
+    ``__init__`` sets each once with ``object.__setattr__``; a plain record
+    keeps them in slots of the same names. Like a frozen dataclass, a record
+    equals another of the same class with an equal ``_key`` (by default the
+    field values), hashes that key, prints as ``Name(field=value, ...)``,
+    and raises :class:`FrozenInstanceError` on any assignment or deletion.
+    ``_replace`` builds a copy with some fields changed, through
+    ``__init__``, and ``_asdict`` maps field names to values.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    _key = _astuple
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+    def _replace(self, **changes: object) -> _Record:
+        return type(self)(**{**self._asdict(), **changes})
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _over_common_denominator(xs: Iterable[RationalLike]) -> tuple[tuple[int, ...], int]:
@@ -139,7 +192,7 @@ def _fractions(ints: tuple[int, ...], scale: int) -> tuple[Fraction, ...]:
     return tuple([Fraction(x, scale) for x in ints])
 
 
-class Instance:
+class Instance(_Record):
     """Goods with costs, agents with budgets and additive per-good values.
 
     ``values[i][g]`` is agent ``i``'s value for good ``g``. Good and agent
@@ -155,7 +208,8 @@ class Instance:
     numbers go through :func:`to_rational`. The public ``costs``,
     ``budgets`` and ``values`` are tuples of Fractions, each built on its
     first read and then kept. The form is canonical, so ``==`` and ``hash``
-    read it, and the instance is immutable like a frozen dataclass.
+    read it. The fields that ``repr``, ``_replace`` and ``_asdict`` show
+    are the public ``costs``, ``budgets`` and ``values``.
     """
 
     __slots__ = (
@@ -167,6 +221,7 @@ class Instance:
         # The views, once read; an instance has no dict before that.
         "__dict__",
     )
+    _fields = ("costs", "budgets", "values")
 
     def __init__(
         self,
@@ -224,25 +279,7 @@ class Instance:
             self._value_scales,
         )
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._form() == other._form()
-
-    def __hash__(self) -> int:
-        return hash(self._form())
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(costs={self.costs!r}, "
-            f"budgets={self.budgets!r}, values={self.values!r})"
-        )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    _key = _form
 
     def __reduce__(self) -> tuple:
         return _from_form, self._form()
@@ -305,32 +342,33 @@ def _from_form(
     return instance
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(_Record):
     """Disjoint per-agent bundles over a scope of eligible goods.
 
     The unallocated pool is always derived as ``scope`` minus the union of
     the bundles, never stored.
     """
 
-    bundles: tuple[Bundle, ...]
-    scope: Bundle
+    __slots__ = _fields = ("bundles", "scope")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bundles", tuple(frozenset(b) for b in self.bundles))
-        object.__setattr__(self, "scope", frozenset(self.scope))
+    def __init__(self, bundles: Iterable[Iterable[int]], scope: Iterable[int]) -> None:
+        bundles = tuple([frozenset(b) for b in bundles])
+        scope = frozenset(scope)
         seen: set[int] = set()
-        for i, b in enumerate(self.bundles):
+        for i, b in enumerate(bundles):
             if b & seen:
                 raise StructuralError(
                     f"bundle of agent {i} overlaps an earlier bundle: {sorted(b & seen)}"
                 )
             seen |= b
-            if not b <= self.scope:
+            if not b <= scope:
                 raise StructuralError(
                     f"bundle of agent {i} contains goods outside the scope: "
-                    f"{sorted(b - self.scope)}"
+                    f"{sorted(b - scope)}"
                 )
+        put = object.__setattr__
+        put(self, "bundles", bundles)
+        put(self, "scope", scope)
 
     @property
     def num_agents(self) -> int:
@@ -383,12 +421,15 @@ def _values(instance: Instance, bundles: Sequence[Bundle]) -> list[int]:
     return [sum([row[g] for g in b]) for row, b in zip(instance._int_values, bundles)]
 
 
-@dataclass(frozen=True)
-class KnapsackAnswer:
+class KnapsackAnswer(_Record):
     """Best achievable value within a budget, plus a witness bundle attaining it."""
 
-    value: Fraction
-    witness: Bundle
+    __slots__ = _fields = ("value", "witness")
+
+    def __init__(self, value: Fraction, witness: Bundle) -> None:
+        put = object.__setattr__
+        put(self, "value", value)
+        put(self, "witness", witness)
 
 
 def bundle_cost(instance: Instance, bundle: Iterable[int]) -> Fraction:
@@ -658,8 +699,7 @@ def _efx_envies(instance: Instance, agent: int, target: Bundle, own: int) -> boo
     return bool(vals) and sum(vals) - min(vals) > own
 
 
-@dataclass(frozen=True)
-class EfxViolation:
+class EfxViolation(_Record):
     """Witness that ``agent`` EFx-envies the bundle of agent ``against``.
 
     ``subset`` lies in that bundle and contains ``removed_good``; without
@@ -667,10 +707,16 @@ class EfxViolation:
     ``agent`` than the bundle ``agent`` holds.
     """
 
-    agent: int
-    against: int
-    subset: tuple[int, ...]
-    removed_good: int
+    __slots__ = _fields = ("agent", "against", "subset", "removed_good")
+
+    def __init__(
+        self, agent: int, against: int, subset: tuple[int, ...], removed_good: int
+    ) -> None:
+        put = object.__setattr__
+        put(self, "agent", agent)
+        put(self, "against", against)
+        put(self, "subset", subset)
+        put(self, "removed_good", removed_good)
 
 
 def efx_violation(instance: Instance, allocation: Allocation) -> EfxViolation | None:

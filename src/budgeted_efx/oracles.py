@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -24,6 +23,7 @@ from .model import (
     StructuralError,
     ZERO,
     _FRONTIER_ENTRIES,
+    _Record,
     _assemble,
     _efx_envies,
     _envy_pairs,
@@ -54,23 +54,28 @@ class ExistenceViolationError(FairDivisionError):
     """Exhaustive search disproved a guaranteed existence claim (a bug trap)."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Record):
     """Cap on the number of complete assignments an oracle may enumerate."""
 
-    max_assignments: int = 50_000_000
+    __slots__ = _fields = ("max_assignments",)
 
-    def __post_init__(self) -> None:
-        if self.max_assignments <= 0:
+    def __init__(self, max_assignments: int = 50_000_000) -> None:
+        if isinstance(max_assignments, bool) or not isinstance(max_assignments, int):
+            raise StructuralError(f"search budget must be an int, not {max_assignments!r}")
+        if max_assignments <= 0:
             raise StructuralError("search budget must be positive")
+        object.__setattr__(self, "max_assignments", max_assignments)
 
 
-@dataclass(frozen=True)
-class SplitPair:
+class SplitPair(_Record):
     """An ordered 2-partition of a pool; ``first`` is the preferred part."""
 
-    first: Bundle
-    second: Bundle
+    __slots__ = _fields = ("first", "second")
+
+    def __init__(self, first: Bundle, second: Bundle) -> None:
+        put = object.__setattr__
+        put(self, "first", first)
+        put(self, "second", second)
 
 
 class _Counter:

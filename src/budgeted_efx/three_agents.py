@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,7 +21,9 @@ from .model import (
     Bundle,
     Instance,
     InvariantViolationError,
+    RationalLike,
     StructuralError,
+    _Record,
     _assemble,
     _check_count,
     _density_key,
@@ -34,6 +35,7 @@ from .model import (
     _lowest_terms,
     _values,
     normalize,
+    to_rational,
 )
 from .oracles import (
     SearchBudget,
@@ -58,49 +60,80 @@ __all__ = [
 ENVY_SWAP_CAP = 100
 
 
-@dataclass(frozen=True)
-class SetAside:
+class SetAside(_Record):
     """One reserved good per agent (or none), with the owner's value for it."""
 
-    goods: tuple[int | None, ...]
-    values: tuple[Fraction, ...]
+    __slots__ = _fields = ("goods", "values")
 
-    def __post_init__(self) -> None:
-        taken = [g for g in self.goods if g is not None]
+    def __init__(self, goods: tuple[int | None, ...], values: tuple[Fraction, ...]) -> None:
+        taken = [g for g in goods if g is not None]
         if len(taken) != len(set(taken)):
             raise StructuralError("set-aside goods must be pairwise distinct")
+        put = object.__setattr__
+        put(self, "goods", goods)
+        put(self, "values", values)
 
 
-@dataclass(frozen=True)
-class AlphaParams:
+class AlphaParams(_Record):
     """Monopoly threshold steering the budget-reduction branch."""
 
-    alpha: Fraction = Fraction(1, 35)
+    __slots__ = _fields = ("alpha",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if not 0 < self.alpha <= Fraction(1, 35):
+    def __init__(self, alpha: RationalLike = Fraction(1, 35)) -> None:
+        alpha = to_rational(alpha)
+        if not 0 < alpha <= Fraction(1, 35):
             raise StructuralError(
                 "alpha must lie in (0, 1/35]; above 1/35 the guarantees are void"
             )
+        object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """Final allocation plus everything needed to certify it."""
 
-    allocation: Allocation
-    branch: str
-    opt: Allocation
-    opt_product: Fraction
-    final_product: Fraction
-    alpha: Fraction
-    role_order: tuple[int, ...]
-    setaside_goods: tuple[int | None, ...]
-    setaside_values: tuple[Fraction, ...]
-    setaside_taken: tuple[bool, ...]
-    monopoly_low: tuple[Fraction, ...] | None
-    notes: tuple[str, ...]
+    __slots__ = _fields = (
+        "allocation",
+        "branch",
+        "opt",
+        "opt_product",
+        "final_product",
+        "alpha",
+        "role_order",
+        "setaside_goods",
+        "setaside_values",
+        "setaside_taken",
+        "monopoly_low",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        allocation: Allocation,
+        branch: str,
+        opt: Allocation,
+        opt_product: Fraction,
+        final_product: Fraction,
+        alpha: Fraction,
+        role_order: tuple[int, ...],
+        setaside_goods: tuple[int | None, ...],
+        setaside_values: tuple[Fraction, ...],
+        setaside_taken: tuple[bool, ...],
+        monopoly_low: tuple[Fraction, ...] | None,
+        notes: tuple[str, ...],
+    ) -> None:
+        put = object.__setattr__
+        put(self, "allocation", allocation)
+        put(self, "branch", branch)
+        put(self, "opt", opt)
+        put(self, "opt_product", opt_product)
+        put(self, "final_product", final_product)
+        put(self, "alpha", alpha)
+        put(self, "role_order", role_order)
+        put(self, "setaside_goods", setaside_goods)
+        put(self, "setaside_values", setaside_values)
+        put(self, "setaside_taken", setaside_taken)
+        put(self, "monopoly_low", monopoly_low)
+        put(self, "notes", notes)
 
 
 def preprocess(instance: Instance, opt: Allocation) -> tuple[Bundle, SetAside]:

@@ -9,7 +9,6 @@ ratio any EFx (or even EF1) allocation can give.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -19,6 +18,7 @@ from .model import (
     Instance,
     InvariantViolationError,
     StructuralError,
+    _Record,
     _assemble,
     _efx_envies,
     _envious,
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FeasibilityGraph:
+class FeasibilityGraph(_Record):
     """Bipartite agent-to-bundle graph of EFx-safe assignments.
 
     Agent ``i`` has an edge to bundle ``j`` exactly when holding her best
@@ -48,17 +47,26 @@ class FeasibilityGraph:
     Fraction; the pair procedure's own graphs hold it in agent ``i``'s units.
     """
 
-    agents: tuple[int, ...]
-    bundles: tuple[Bundle, ...]
-    edges: frozenset[tuple[int, int]]
-    values: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("agents", "bundles", "edges", "values")
+
+    def __init__(
+        self,
+        agents: tuple[int, ...],
+        bundles: tuple[Bundle, ...],
+        edges: frozenset[tuple[int, int]],
+        values: tuple[tuple[Fraction, ...], ...],
+    ) -> None:
+        put = object.__setattr__
+        put(self, "agents", agents)
+        put(self, "bundles", bundles)
+        put(self, "edges", edges)
+        put(self, "values", values)
 
     def agent_edges(self, position: int) -> list[int]:
         return sorted(j for (i, j) in self.edges if i == position)
 
 
-@dataclass(frozen=True)
-class TwoAgentResult:
+class TwoAgentResult(_Record):
     """Outcome of the pair procedure.
 
     ``allocation`` covers only the two input bundles (its scope); the
@@ -68,13 +76,34 @@ class TwoAgentResult:
     each agent took her best affordable subset.
     """
 
-    allocation: Allocation
-    matched: tuple[Bundle, Bundle]
-    unallocated_r: Bundle
-    leftout_rprime: Bundle
-    branch: str
-    envier: int | None
-    iterations: int
+    __slots__ = _fields = (
+        "allocation",
+        "matched",
+        "unallocated_r",
+        "leftout_rprime",
+        "branch",
+        "envier",
+        "iterations",
+    )
+
+    def __init__(
+        self,
+        allocation: Allocation,
+        matched: tuple[Bundle, Bundle],
+        unallocated_r: Bundle,
+        leftout_rprime: Bundle,
+        branch: str,
+        envier: int | None,
+        iterations: int,
+    ) -> None:
+        put = object.__setattr__
+        put(self, "allocation", allocation)
+        put(self, "matched", matched)
+        put(self, "unallocated_r", unallocated_r)
+        put(self, "leftout_rprime", leftout_rprime)
+        put(self, "branch", branch)
+        put(self, "envier", envier)
+        put(self, "iterations", iterations)
 
 
 def build_feasibility_graph(

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -523,8 +522,8 @@ class TestBench:
                 "efx_pass": True,
             }
 
-        failing_suite = dataclasses.replace(
-            cli_mod.BENCH_SUITES["two-agent"], count=1, measure=failing_measure
+        failing_suite = cli_mod.BENCH_SUITES["two-agent"]._replace(
+            count=1, measure=failing_measure
         )
         monkeypatch.setitem(cli_mod.BENCH_SUITES, "two-agent", failing_suite)
         out_csv = tmp_path / "rows.csv"
@@ -551,8 +550,7 @@ class TestBench:
                 raise error("guaranteed property failed")
             return real_measure(instance, search)
 
-        failing_suite = dataclasses.replace(
-            cli_mod.BENCH_SUITES["two-agent"],
+        failing_suite = cli_mod.BENCH_SUITES["two-agent"]._replace(
             count=3,
             measure=measure_failing_on_the_second,
         )
@@ -584,8 +582,8 @@ class TestBench:
                 "efx_pass": True,
             }
 
-        failing_suite = dataclasses.replace(
-            cli_mod.BENCH_SUITES["two-agent"], count=1, measure=failing_measure
+        failing_suite = cli_mod.BENCH_SUITES["two-agent"]._replace(
+            count=1, measure=failing_measure
         )
         monkeypatch.setitem(cli_mod.BENCH_SUITES, "two-agent", failing_suite)
         target = tmp_path / "no_such_dir" / "rows.csv"
@@ -624,7 +622,7 @@ class TestSolveAndBenchAgree:
             result = real_efx_2a(*args)
             if result.envier is None:
                 return result
-            return dataclasses.replace(result, envier=1 - result.envier)
+            return result._replace(envier=1 - result.envier)
 
         monkeypatch.setattr(cli_mod, "efx_2a", misnamed_envier)
         suite = cli_mod.BENCH_SUITES["two-agent"]

@@ -69,6 +69,16 @@ class TestMaxNswAllocation:
         with pytest.raises(SearchCapExceededError):
             max_nsw_allocation(t1, (0, 1), t1.all_goods(), SearchBudget(2))
 
+    @pytest.mark.parametrize("cap", ["5", None, 2.5, True])
+    def test_a_cap_other_than_an_int_is_refused(self, cap):
+        with pytest.raises(StructuralError, match="search budget must be an int"):
+            SearchBudget(cap)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_a_cap_below_one_is_refused(self, cap):
+        with pytest.raises(StructuralError, match="search budget must be positive"):
+            SearchBudget(cap)
+
     def test_restricted_pool_stays_inside_pool(self, t1):
         opt = max_nsw_allocation(t1, (0, 1), {0, 2})
         assert opt.allocated() <= {0, 2}

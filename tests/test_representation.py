@@ -4,7 +4,6 @@ of a frozen dataclass, and derived instances that equal their rebuilds."""
 import copy
 import gc
 import pickle
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from budgeted_efx.model import (
     Allocation,
     DegenerateOptimumError,
+    FrozenInstanceError,
     Instance,
     StructuralError,
     bundle_value,

@@ -50,9 +50,12 @@ def test_solve_stages_charges_every_stage(algorithm, tmp_path):
     assert out.startswith(f"{algorithm}: ")
     for stage in STAGES:
         assert f"  {stage} " in out
-    stages = json.loads(table.read_text())["stages"]
+    assert "  package import " in out
+    result = json.loads(table.read_text())
+    stages = result["stages"]
     assert list(stages) == list(STAGES)
     assert all(row["us_per_solve"] > 0 for row in stages.values())
+    assert result["import_us"] > 0
 
 
 @pytest.mark.parametrize("agents", [2, 3])

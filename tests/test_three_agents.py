@@ -471,6 +471,15 @@ class TestPipelineBranches:
         with pytest.raises(StructuralError):
             efx_3a(t1)
 
+    @pytest.mark.parametrize("alpha", [0.02, True, False])
+    def test_alpha_as_a_float_or_a_bool_is_refused(self, alpha):
+        with pytest.raises(StructuralError, match="is not allowed"):
+            AlphaParams(alpha)
+
+    def test_alpha_as_p_over_q_text_is_exact(self):
+        assert AlphaParams("1/40").alpha == F(1, 40)
+        assert AlphaParams().alpha == F(1, 35)
+
 
 class TestPipelineInvariants:
     def test_random_instances_meet_every_guarantee(self):
