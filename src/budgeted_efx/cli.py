@@ -16,12 +16,10 @@ from __future__ import annotations
 import argparse
 import io
 import math
-import os
 import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 from .instances import (
     ParseError,
@@ -74,21 +72,12 @@ EXIT_GUARANTEE = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
 
-CAP_ENV_VAR = "BUDGETED_EFX_CAP"
 # The three-agent welfare floor is the optimum over RATIO_DIVISOR_3A.
 RATIO_DIVISOR_3A = 171**3
 
 
 def _search_budget(cap: int | None) -> SearchBudget:
-    if cap is not None:
-        return SearchBudget(cap)
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return SearchBudget(int(env))
-        except (ValueError, StructuralError) as exc:
-            raise ParseError(f"bad {CAP_ENV_VAR} value {env!r}") from exc
-    return SearchBudget()
+    return SearchBudget() if cap is None else SearchBudget(cap)
 
 
 def _budget_feasible(instance: Instance, allocation: Allocation) -> bool:
@@ -210,19 +199,19 @@ def _solve_report(
             raise ParseError(f"bad alpha: {exc}") from exc
         result = efx_3a(instance, params, search)
         report, values = _base_report(instance, "efx3", result.allocation)
-        # Both products over RATIO_DIVISOR_3A times the product of the value
-        # scales, which the optimum's reduced denominator divides.
+        # Both products are ints over the product of the value scales, read
+        # from the allocations as _shared_fields reads the final one.
         scale = math.prod(instance._value_scales)
-        opt = result.opt_product
+        opt = math.prod(_values(instance, result.opt.bundles))
         report.update(
             {
                 "alpha": rational_to_json(result.alpha),
-                "opt_product": rational_to_json(opt),
+                "opt_product": _ratio_to_json(opt, scale),
                 "ratio_checks": [
                     _ratio_check(
                         "product_at_least_opt_over_171_cubed",
                         math.prod(values) * RATIO_DIVISOR_3A,
-                        opt.numerator * (scale // opt.denominator),
+                        opt,
                         scale * RATIO_DIVISOR_3A,
                     )
                 ],
@@ -346,23 +335,6 @@ class BenchSuite(_Record):
     """
 
     __slots__ = _fields = ("algorithm", "agents", "goods", "seed", "count", "measure")
-
-    def __init__(
-        self,
-        algorithm: str,
-        agents: int,
-        goods: tuple[int, int],
-        seed: int,
-        count: int,
-        measure: Callable[[Instance, SearchBudget], dict],
-    ) -> None:
-        put = object.__setattr__
-        put(self, "algorithm", algorithm)
-        put(self, "agents", agents)
-        put(self, "goods", goods)
-        put(self, "seed", seed)
-        put(self, "count", count)
-        put(self, "measure", measure)
 
 
 # Default seeds are the frozen acceptance seeds; seed 3 covers all four

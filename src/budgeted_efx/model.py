@@ -95,18 +95,51 @@ class FrozenInstanceError(AttributeError):
 class _Record:
     """Base of the package's immutable records, :class:`Instance` among them.
 
-    A record lists its fields, in constructor order, in ``_fields``, and its
-    ``__init__`` sets each once with ``object.__setattr__``; a plain record
-    keeps them in slots of the same names. Like a frozen dataclass, a record
-    equals another of the same class with an equal ``_key`` (by default the
-    field values), hashes that key, prints as ``Name(field=value, ...)``,
-    and raises :class:`FrozenInstanceError` on any assignment or deletion.
+    A record lists its fields, in constructor order, in ``_fields``; a plain
+    record keeps them in slots of the same names. The one ``__init__`` takes
+    each field by position or by name, raises the :class:`TypeError` a
+    written-out signature would, and sets each field once; a record that
+    checks its arguments does so in its own ``__init__`` and then calls
+    this one. Like a frozen dataclass, a record equals another of the same
+    class with an equal ``_key`` (by default the field values), hashes that
+    key, prints as ``Name(field=value, ...)``, and raises
+    :class:`FrozenInstanceError` on any assignment or deletion.
     ``_replace`` builds a copy with some fields changed, through
     ``__init__``, and ``_asdict`` maps field names to values.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        put = object.__setattr__
+        for name, value in zip(fields, args):
+            put(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        # The field values, in field order, of a call that names fields or
+        # passes too few or too many.
+        fields, call = cls._fields, cls.__qualname__ + "()"
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{call} takes {len(fields)} positional arguments but {len(args)} were given"
+            )
+        bound = dict(zip(fields, args))
+        for name in kwargs:
+            if name in bound:
+                raise TypeError(f"{call} got multiple values for argument {name!r}")
+        bound.update(kwargs)
+        for name in fields:
+            if name not in bound:
+                raise TypeError(f"{call} missing required argument {name!r}")
+        if len(bound) > len(fields):
+            name = next(name for name in kwargs if name not in fields)
+            raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+        return tuple([bound[name] for name in fields])
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -366,9 +399,7 @@ class Allocation(_Record):
                     f"bundle of agent {i} contains goods outside the scope: "
                     f"{sorted(b - scope)}"
                 )
-        put = object.__setattr__
-        put(self, "bundles", bundles)
-        put(self, "scope", scope)
+        super().__init__(bundles, scope)
 
     @property
     def num_agents(self) -> int:
@@ -425,11 +456,6 @@ class KnapsackAnswer(_Record):
     """Best achievable value within a budget, plus a witness bundle attaining it."""
 
     __slots__ = _fields = ("value", "witness")
-
-    def __init__(self, value: Fraction, witness: Bundle) -> None:
-        put = object.__setattr__
-        put(self, "value", value)
-        put(self, "witness", witness)
 
 
 def bundle_cost(instance: Instance, bundle: Iterable[int]) -> Fraction:
@@ -708,15 +734,6 @@ class EfxViolation(_Record):
     """
 
     __slots__ = _fields = ("agent", "against", "subset", "removed_good")
-
-    def __init__(
-        self, agent: int, against: int, subset: tuple[int, ...], removed_good: int
-    ) -> None:
-        put = object.__setattr__
-        put(self, "agent", agent)
-        put(self, "against", against)
-        put(self, "subset", subset)
-        put(self, "removed_good", removed_good)
 
 
 def efx_violation(instance: Instance, allocation: Allocation) -> EfxViolation | None:

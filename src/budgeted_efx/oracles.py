@@ -64,18 +64,13 @@ class SearchBudget(_Record):
             raise StructuralError(f"search budget must be an int, not {max_assignments!r}")
         if max_assignments <= 0:
             raise StructuralError("search budget must be positive")
-        object.__setattr__(self, "max_assignments", max_assignments)
+        super().__init__(max_assignments)
 
 
 class SplitPair(_Record):
     """An ordered 2-partition of a pool; ``first`` is the preferred part."""
 
     __slots__ = _fields = ("first", "second")
-
-    def __init__(self, first: Bundle, second: Bundle) -> None:
-        put = object.__setattr__
-        put(self, "first", first)
-        put(self, "second", second)
 
 
 class _Counter:
@@ -91,6 +86,16 @@ class _Counter:
             raise SearchCapExceededError(
                 f"search budget exhausted after {self.cap} enumerated assignments"
             )
+
+
+def _check_subsets(search: str, n: int) -> None:
+    # Raises before a ``search`` that values all 2^n subsets of n goods
+    # when they are more than the knapsack's frontier cap.
+    if 1 << n > _FRONTIER_ENTRIES:
+        raise SearchCapExceededError(
+            f"{search} of {n} goods would value 2^{n} subsets, past the cap "
+            f"of {_FRONTIER_ENTRIES}"
+        )
 
 
 def _suffix_sums(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -406,11 +411,7 @@ def leximin_pp_split(
     """
     goods = sorted(frozenset(pool))
     n = len(goods)
-    if 1 << n > _FRONTIER_ENTRIES:
-        raise SearchCapExceededError(
-            f"leximin split of {n} goods would value 2^{n} subsets, past the cap "
-            f"of {_FRONTIER_ENTRIES}"
-        )
+    _check_subsets("leximin split", n)
     full = (1 << n) - 1
 
     def part(mask: int) -> Bundle:
@@ -493,12 +494,14 @@ def knapsack_by_enumeration(
     """Unpruned knapsack: literal max over all subsets, same tie-break.
 
     Independent check for :func:`budgeted_efx.model.knapsack_vmax`; shares no
-    search machinery with it.
+    search machinery with it. Past the knapsack's frontier cap of subsets,
+    raises :class:`SearchCapExceededError` before allocating any.
     """
     instance.check_agent(agent)
     pool = instance.check_bundle(pool)
     goods = sorted(pool)
     n = len(goods)
+    _check_subsets("knapsack enumeration", n)
     costs = instance.costs
     vals = instance.values[agent]
     budget = to_rational(budget)
@@ -537,6 +540,10 @@ def max_nsw_by_enumeration(
     so this is the oracle-of-the-oracle for :func:`max_nsw_allocation`.
     """
     agents = tuple(sorted(set(agents)))
+    if not agents:
+        raise StructuralError("at least one agent required")
+    for a in agents:
+        instance.check_agent(a)
     pool = instance.check_bundle(pool)
     goods = sorted(pool)
     k = len(agents)

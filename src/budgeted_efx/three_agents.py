@@ -69,9 +69,7 @@ class SetAside(_Record):
         taken = [g for g in goods if g is not None]
         if len(taken) != len(set(taken)):
             raise StructuralError("set-aside goods must be pairwise distinct")
-        put = object.__setattr__
-        put(self, "goods", goods)
-        put(self, "values", values)
+        super().__init__(goods, values)
 
 
 class AlphaParams(_Record):
@@ -85,7 +83,7 @@ class AlphaParams(_Record):
             raise StructuralError(
                 "alpha must lie in (0, 1/35]; above 1/35 the guarantees are void"
             )
-        object.__setattr__(self, "alpha", alpha)
+        super().__init__(alpha)
 
 
 class SolveResult(_Record):
@@ -105,35 +103,6 @@ class SolveResult(_Record):
         "monopoly_low",
         "notes",
     )
-
-    def __init__(
-        self,
-        allocation: Allocation,
-        branch: str,
-        opt: Allocation,
-        opt_product: Fraction,
-        final_product: Fraction,
-        alpha: Fraction,
-        role_order: tuple[int, ...],
-        setaside_goods: tuple[int | None, ...],
-        setaside_values: tuple[Fraction, ...],
-        setaside_taken: tuple[bool, ...],
-        monopoly_low: tuple[Fraction, ...] | None,
-        notes: tuple[str, ...],
-    ) -> None:
-        put = object.__setattr__
-        put(self, "allocation", allocation)
-        put(self, "branch", branch)
-        put(self, "opt", opt)
-        put(self, "opt_product", opt_product)
-        put(self, "final_product", final_product)
-        put(self, "alpha", alpha)
-        put(self, "role_order", role_order)
-        put(self, "setaside_goods", setaside_goods)
-        put(self, "setaside_values", setaside_values)
-        put(self, "setaside_taken", setaside_taken)
-        put(self, "monopoly_low", monopoly_low)
-        put(self, "notes", notes)
 
 
 def preprocess(instance: Instance, opt: Allocation) -> tuple[Bundle, SetAside]:

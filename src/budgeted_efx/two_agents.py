@@ -49,19 +49,6 @@ class FeasibilityGraph(_Record):
 
     __slots__ = _fields = ("agents", "bundles", "edges", "values")
 
-    def __init__(
-        self,
-        agents: tuple[int, ...],
-        bundles: tuple[Bundle, ...],
-        edges: frozenset[tuple[int, int]],
-        values: tuple[tuple[Fraction, ...], ...],
-    ) -> None:
-        put = object.__setattr__
-        put(self, "agents", agents)
-        put(self, "bundles", bundles)
-        put(self, "edges", edges)
-        put(self, "values", values)
-
     def agent_edges(self, position: int) -> list[int]:
         return sorted(j for (i, j) in self.edges if i == position)
 
@@ -85,25 +72,6 @@ class TwoAgentResult(_Record):
         "envier",
         "iterations",
     )
-
-    def __init__(
-        self,
-        allocation: Allocation,
-        matched: tuple[Bundle, Bundle],
-        unallocated_r: Bundle,
-        leftout_rprime: Bundle,
-        branch: str,
-        envier: int | None,
-        iterations: int,
-    ) -> None:
-        put = object.__setattr__
-        put(self, "allocation", allocation)
-        put(self, "matched", matched)
-        put(self, "unallocated_r", unallocated_r)
-        put(self, "leftout_rprime", leftout_rprime)
-        put(self, "branch", branch)
-        put(self, "envier", envier)
-        put(self, "iterations", iterations)
 
 
 def build_feasibility_graph(
@@ -164,6 +132,11 @@ def select_perfect_matching(
     agent's, then takes the lowest bundle index pair, so reruns replay
     identically.
     """
+    for agent in (priority_agent, secondary_agent):
+        if isinstance(agent, bool) or agent not in graph.agents:
+            raise StructuralError(f"agent {agent!r} is not in the feasibility graph")
+    if priority_agent == secondary_agent:
+        raise StructuralError("pair must name two distinct agents")
     p = graph.agents.index(priority_agent)
     s = graph.agents.index(secondary_agent)
     edges, values = graph.edges, graph.values

@@ -135,11 +135,6 @@ class TestSolve:
             f"of {model._FRONTIER_ENTRIES}\n"
         )
 
-    def test_cap_env_var_is_honored(self, t1_path, capsys, monkeypatch):
-        monkeypatch.setenv("BUDGETED_EFX_CAP", "2")
-        code, _, _ = run(capsys, "solve", str(t1_path), "--algorithm", "oracle-nsw")
-        assert code == 3
-
     @staticmethod
     def efx3_on_four_goods(capsys, tmp_path, alpha):
         """Solve a three-agent instance with four unit goods under ``alpha``."""

@@ -24,6 +24,7 @@ from budgeted_efx.oracles import (
     best_allocation_under_predicate,
     complete_efx_allocation,
     is_pareto_efficient,
+    knapsack_by_enumeration,
     leximin_pp_split,
     max_nsw_allocation,
     max_nsw_by_enumeration,
@@ -87,6 +88,16 @@ class TestMaxNswAllocation:
     def test_empty_agent_list_rejected(self, t1):
         with pytest.raises(StructuralError):
             max_nsw_allocation(t1, (), t1.all_goods())
+
+    @pytest.mark.parametrize(
+        "agents, message",
+        [((0, 5), "unknown agent id 5"), ((0, True), "unknown agent id True"),
+         ((), "at least one agent required")],
+    )
+    @pytest.mark.parametrize("search", [max_nsw_allocation, max_nsw_by_enumeration])
+    def test_the_oracle_checks_agents_as_the_walk_does(self, t1, search, agents, message):
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            search(t1, agents, t1.all_goods())
 
 
 def rational_instance(rng: random.Random, n: int, m: int):
@@ -459,6 +470,19 @@ class TestLeximinSplit:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 1024 * 1024
+
+
+def test_a_knapsack_enumeration_past_the_frontier_cap_raises_before_allocating():
+    m = 22
+    inst = Instance((1,) * m, (5,), ((1,) * m,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchCapExceededError, match="2\\^22 subsets"):
+            knapsack_by_enumeration(inst, 0, range(m), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestBestUnderPredicate:

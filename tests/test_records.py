@@ -1,7 +1,8 @@
-"""The package's immutable records share one base in ``model``: each
-compares, hashes, prints, copies, replaces and converts its fields alike,
-and refuses assignment and deletion with ``model.FrozenInstanceError``.
-Importing the CLI loads no code-generating module, and no CSV writer."""
+"""The package's immutable records share one base in ``model``: each is
+built through one constructor, compares, hashes, prints, copies, replaces
+and converts its fields alike, and refuses assignment and deletion with
+``model.FrozenInstanceError``. Importing the CLI loads no code-generating
+module, and no CSV writer."""
 
 import copy
 import pickle
@@ -82,6 +83,49 @@ def test_fields_convert_and_replace(records):
     assert violation.agent == 0
     with pytest.raises(TypeError):
         violation._replace(witness=())
+
+
+def test_no_plain_record_writes_out_its_constructor(records):
+    checked = {Instance, Allocation, SearchBudget, SetAside, AlphaParams}
+    for cls in _Record.__subclasses__():
+        assert ("__init__" in vars(cls)) == (cls in checked), cls
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((0, 1, (1, 2)), {}, "missing required argument 'removed_good'"),
+        ((0, 1), {"subset": (1, 2)}, "missing required argument 'removed_good'"),
+        ((0, 1, (1, 2), 2, 5), {}, "takes 4 positional arguments but 5 were given"),
+        ((0, 1, (1, 2), 2), {"witness": ()}, "got an unexpected keyword argument 'witness'"),
+        ((0, 1, (1, 2)), {"agent": 1}, "got multiple values for argument 'agent'"),
+    ],
+)
+def test_the_constructor_refuses_a_call_a_signature_would(args, kwargs, message):
+    with pytest.raises(TypeError, match=f"^EfxViolation\\(\\) {message}$"):
+        EfxViolation(*args, **kwargs)
+
+
+def test_fields_bind_by_position_or_by_name():
+    by_name = EfxViolation(removed_good=2, subset=(1, 2), against=1, agent=0)
+    assert by_name == EfxViolation(0, 1, subset=(1, 2), removed_good=2)
+    assert by_name == EfxViolation(0, 1, (1, 2), 2)
+    assert by_name._astuple() == (0, 1, (1, 2), 2)
+
+
+def test_a_checked_record_built_by_name_runs_its_checks():
+    allocation = Allocation(bundles=({0}, [1]), scope=range(3))
+    assert allocation == Allocation((frozenset({0}), frozenset({1})), frozenset(range(3)))
+    with pytest.raises(StructuralError, match="outside the scope"):
+        Allocation(bundles=({0}, {3}), scope={0, 1})
+    with pytest.raises(StructuralError, match="overlaps an earlier bundle"):
+        Allocation(scope={0, 1}, bundles=({0}, {0}))
+    with pytest.raises(StructuralError, match="search budget must be positive"):
+        SearchBudget(max_assignments=0)
+    with pytest.raises(StructuralError, match="pairwise distinct"):
+        SetAside(goods=(1, 1, None), values=(F(1), F(1), F(0)))
+    with pytest.raises(StructuralError, match="floating point"):
+        AlphaParams(alpha=0.02)
 
 
 def test_replace_goes_through_validation():

@@ -172,6 +172,17 @@ class TestSelectPerfectMatching:
         )
         assert select_perfect_matching(pinned, 1, 0) is None
 
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 1), (0, 5), (0, True)])
+    def test_an_agent_outside_the_graph_is_refused(self, t1, pair):
+        graph = build_feasibility_graph(t1, (0, 1), ({2}, {0}, {1}))
+        with pytest.raises(StructuralError, match="is not in the feasibility graph"):
+            select_perfect_matching(graph, *pair)
+
+    def test_the_same_agent_twice_is_refused(self, t1):
+        graph = build_feasibility_graph(t1, (0, 1), ({2}, {0}, {1}))
+        with pytest.raises(StructuralError, match="pair must name two distinct agents"):
+            select_perfect_matching(graph, 0, 0)
+
     def test_any_agent_with_two_edges_guarantees_a_matching(self):
         rng = random.Random(15)
         for _ in range(40):
