@@ -2,11 +2,10 @@
 
     PYTHONPATH=src python scripts/solve_stages.py --algorithm efx3 \
         [--seed 3] [--count 800] [--rounds 3] [--json OUT.json]
-    PYTHONPATH=src python scripts/solve_stages.py --walks [--json OUT.json]
 
-The first form writes a seeded ``gen_instances`` corpus to a temporary
-directory (3 agents and 4 to 8 goods for ``efx3``, 2 agents and 2 to 10
-goods otherwise, as perfbench's ``triple`` and ``pair``), then runs
+It writes a seeded ``gen_instances`` corpus to a temporary directory (3
+agents and 4 to 8 goods for ``efx3``, 2 agents and 2 to 10 goods
+otherwise, as perfbench's ``triple`` and ``pair``), then runs
 ``cli.main(["solve", FILE, "--algorithm", ALG, "--out", REPORT])`` on every
 file, each round into a fresh report directory. It prints the mean thread
 CPU time per solve and each stage's share:
@@ -26,19 +25,13 @@ time of ``import budgeted_efx.cli`` in a fresh ``python -S`` process, the
 median of five such processes. The first writes the package's bytecode
 unless ``PYTHONDONTWRITEBYTECODE`` is set, and the others read it.
 
-The second form times ``max_nsw_allocation`` on every instance of each
-size, for 2 agents (m 2 to 10) and 3 agents (m 4 to 8), and counts the
-walk's nodes (its calls of the inner ``walk``) in a second, profiled pass.
-
 Standard library only; the package comes from ``PYTHONPATH``.
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
 import json
-import pstats
 import statistics
 import subprocess
 import sys
@@ -161,37 +154,6 @@ def stage_table(algorithm: str, seed: int, count: int, rounds: int) -> dict:
     }
 
 
-def walk_table(seed: int, per_m: int) -> dict:
-    out = {}
-    for agents, m_range in ((2, (2, 10)), (3, (4, 8))):
-        rows = {}
-        for m in range(m_range[0], m_range[1] + 1):
-            instances = gen_instances(seed, per_m, agents, (m, m))
-            times = []
-            for inst in instances:
-                args = (inst, range(agents), inst.all_goods())
-                start = thread_time_ns()
-                oracles.max_nsw_allocation(*args)
-                times.append(thread_time_ns() - start)
-            profile = cProfile.Profile()
-            profile.enable()
-            for inst in instances:
-                oracles.max_nsw_allocation(inst, range(agents), inst.all_goods())
-            profile.disable()
-            nodes = sum(
-                row[1]
-                for (_, _, fn), row in pstats.Stats(profile).stats.items()
-                if fn == "walk" and row is not None
-            )
-            rows[m] = {
-                "us_mean": round(statistics.fmean(times) / 1000, 1),
-                "us_median": round(statistics.median(times) / 1000, 1),
-                "nodes_mean": round(nodes / per_m, 1),
-            }
-        out[f"k{agents}"] = rows
-    return {"seed": seed, "per_m": per_m, "walks": out}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--algorithm", default="efx3",
@@ -199,25 +161,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--count", type=int, default=800)
     parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--walks", action="store_true",
-                        help="time and count welfare walks per size instead")
     parser.add_argument("--json", type=Path, default=None, help="also write JSON here")
     args = parser.parse_args(argv)
 
-    if args.walks:
-        result = walk_table(args.seed, 200)
-        for k, rows in result["walks"].items():
-            for m, row in rows.items():
-                print(f"{k} m={m}: {row['us_mean']} us mean, "
-                      f"{row['us_median']} us median, {row['nodes_mean']} nodes")
-    else:
-        result = stage_table(args.algorithm, args.seed, args.count, args.rounds)
-        print(f"{args.algorithm}: {result['us_per_solve']} us per solve "
-              f"({args.count} instances x {args.rounds} rounds, seed {args.seed})")
-        for stage, row in result["stages"].items():
-            print(f"  {stage:20} {row['us_per_solve']:8.1f} us  {row['share']:6.1%}")
-        print(f"  {'package import':20} {result['import_us']:8.1f} us  "
-              "once per process (fresh python -S)")
+    result = stage_table(args.algorithm, args.seed, args.count, args.rounds)
+    print(f"{args.algorithm}: {result['us_per_solve']} us per solve "
+          f"({args.count} instances x {args.rounds} rounds, seed {args.seed})")
+    for stage, row in result["stages"].items():
+        print(f"  {stage:20} {row['us_per_solve']:8.1f} us  {row['share']:6.1%}")
+    print(f"  {'package import':20} {result['import_us']:8.1f} us  "
+          "once per process (fresh python -S)")
     if args.json:
         args.json.write_text(json.dumps(result, indent=1) + "\n")
     return 0

@@ -54,7 +54,6 @@ from .model import (
     nsw_product,
 )
 from .oracles import (
-    ExistenceViolationError,
     SearchBudget,
     SearchCapExceededError,
     best_allocation_under_predicate,
@@ -63,7 +62,7 @@ from .oracles import (
     max_nsw_allocation,
     max_nsw_by_enumeration,
 )
-from .three_agents import AlphaParams, efx_3a
+from .three_agents import RATIO_DIVISOR_3A, AlphaParams, efx_3a
 from .two_agents import efx_2a
 
 EXIT_OK = 0
@@ -72,16 +71,9 @@ EXIT_GUARANTEE = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
 
-# The three-agent welfare floor is the optimum over RATIO_DIVISOR_3A.
-RATIO_DIVISOR_3A = 171**3
-
 
 def _search_budget(cap: int | None) -> SearchBudget:
     return SearchBudget() if cap is None else SearchBudget(cap)
-
-
-def _budget_feasible(instance: Instance, allocation: Allocation) -> bool:
-    return all(_fits(instance, i, b) for i, b in enumerate(allocation.bundles))
 
 
 def _shared_fields(instance: Instance, allocation: Allocation) -> tuple[dict, list[int]]:
@@ -89,11 +81,12 @@ def _shared_fields(instance: Instance, allocation: Allocation) -> tuple[dict, li
     of her bundle, from the allocation's one check and one integer pass."""
     values = _own_values(instance, allocation)
     violation = _efx_violation(instance, allocation.bundles, values)
+    # Unallocated is every good of the instance that no agent holds.
     return {
         "input_hash": instance_sha256(instance),
-        "allocation": allocation_to_payload(allocation),
+        "allocation": allocation_to_payload(Allocation(allocation.bundles, instance.all_goods())),
         "nsw_product": _ratio_to_json(math.prod(values), math.prod(instance._value_scales)),
-        "budget_feasible": _budget_feasible(instance, allocation),
+        "budget_feasible": all(_fits(instance, i, b) for i, b in enumerate(allocation.bundles)),
         "efx": {
             "pass": violation is None,
             "witness": None if violation is None else violation._asdict(),
@@ -139,10 +132,16 @@ def _ratio_check(name: str, lhs: int, rhs: int, scale: int) -> dict:
 
 
 def _solve_report(
-    instance: Instance, algorithm: str, search: SearchBudget, seed="opt", alpha="1/35"
+    instance: Instance, algorithm: str, search: SearchBudget, seed="opt", alpha=None
 ) -> dict:
     """Run ``algorithm`` and build its report; ``seed`` ('opt' or an
-    allocation path) is for efx2, ``alpha`` (p/q) for efx3."""
+    allocation path) is for efx2, ``alpha`` (p/q, None for the default of
+    :class:`AlphaParams`) for efx3. Either given to another algorithm is a
+    :class:`ParseError`."""
+    if seed != "opt" and algorithm != "efx2":
+        raise ParseError(f"--seed-allocation applies to efx2 only, not {algorithm}")
+    if alpha is not None and algorithm != "efx3":
+        raise ParseError(f"--alpha applies to efx3 only, not {algorithm}")
     if algorithm == "efx2":
         if instance.num_agents != 2:
             raise StructuralError("efx2 requires a two-agent instance")
@@ -152,9 +151,8 @@ def _solve_report(
             )
         else:
             seed_alloc = parse_allocation(seed, instance)
-            if not _budget_feasible(instance, seed_alloc):
-                raise StructuralError("seed allocation is not budget-feasible")
-        # The seed was checked as it was read, or built by the search.
+        # The seed was checked as it was read, or built by the search; efx_2a
+        # checks each bundle against its agent's budget.
         seed = _values(instance, seed_alloc.bundles)
         result = efx_2a(instance, (0, 1), seed_alloc)
         report, out = _base_report(instance, "efx2", result.allocation)
@@ -192,9 +190,9 @@ def _solve_report(
     elif algorithm == "efx3":
         if instance.num_agents != 3:
             raise StructuralError("efx3 requires a three-agent instance")
-        alpha = rational_from_json(alpha, "alpha")
+        alpha = () if alpha is None else (rational_from_json(alpha, "alpha"),)
         try:
-            params = AlphaParams(alpha)
+            params = AlphaParams(*alpha)
         except StructuralError as exc:
             raise ParseError(f"bad alpha: {exc}") from exc
         result = efx_3a(instance, params, search)
@@ -396,7 +394,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         try:
             fields = suite.measure(instance, search)
-        except (InvariantViolationError, ExistenceViolationError):
+        except InvariantViolationError:
             # Keep the finished rows; main still maps the error to exit 2.
             _emit_reported(instance_to_json(instance), repro)
             _emit_reported(_csv_table(rows), args.out)
@@ -452,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["efx2", "efx3", "oracle-nsw", "oracle-efx"],
     )
-    solve.add_argument("--alpha", default="1/35", help="threshold for efx3, as p/q")
+    solve.add_argument("--alpha", help="threshold for efx3, as p/q")
     solve.add_argument(
         "--seed-allocation",
         default="opt",
@@ -495,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SearchCapExceededError):
             return EXIT_CAP
-        if isinstance(exc, (InvariantViolationError, ExistenceViolationError)):
+        if isinstance(exc, InvariantViolationError):
             return EXIT_GUARANTEE
         return EXIT_USAGE
 

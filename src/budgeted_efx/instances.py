@@ -93,13 +93,12 @@ def _rational_at(x: Any, where: str, *index: int) -> int | Fraction:
 
 
 def rational_to_json(x: Fraction) -> int | str:
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_to_json(x.numerator, x.denominator)
 
 
 def _ratio_to_json(p: int, q: int) -> int | str:
-    # rational_to_json(Fraction(p, q)) for q > 0, without the Fraction.
+    # p/q, for q > 0, in the wire format: an int when q divides p, else
+    # "p/q" in lowest terms.
     d = math.gcd(p, q)
     return p // d if d == q else f"{p // d}/{q // d}"
 
@@ -244,7 +243,7 @@ def _canonical_text(obj: Any, indent: str) -> str:
     kind = type(obj)
     if kind is int:
         return int.__repr__(obj)
-    if kind is str or isinstance(obj, str):
+    if kind is str:
         return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
@@ -252,8 +251,6 @@ def _canonical_text(obj: Any, indent: str) -> str:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
     inner = indent + "  "
     if kind is list or isinstance(obj, (list, tuple)):
         items = [int.__repr__(x) if type(x) is int else _canonical_text(x, inner) for x in obj]
@@ -275,9 +272,10 @@ def _canonical_text(obj: Any, indent: str) -> str:
 def _canonical_json(obj: Any) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, for
     documents built from dicts with string keys, lists, tuples, strings,
-    ints, booleans and None; any other type raises TypeError, so a document
-    never differs from that text silently. Written here because
-    ``json.dumps`` with an indent runs the pure-Python encoder."""
+    ints, booleans and None; any other type, a subclass of int or str
+    among them, raises TypeError, so a document never differs from that
+    text silently. Written here because ``json.dumps`` with an indent runs
+    the pure-Python encoder."""
     return _canonical_text(obj, "") + "\n"
 
 

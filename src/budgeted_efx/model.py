@@ -401,10 +401,6 @@ class Allocation(_Record):
                 )
         super().__init__(bundles, scope)
 
-    @property
-    def num_agents(self) -> int:
-        return len(self.bundles)
-
     def allocated(self) -> Bundle:
         return frozenset().union(*self.bundles)
 
@@ -552,6 +548,16 @@ def _check_held(held: int, agent: int, goods: int) -> None:
         raise SearchCapExceededError(
             f"knapsack frontiers of agent {agent} over {goods} goods "
             f"reached {held} entries, past the cap of {_FRONTIER_ENTRIES}"
+        )
+
+
+def _check_subsets(search: str, n: int) -> None:
+    # Raises before a ``search`` that values all 2^n subsets of n goods
+    # when they are more than the frontier cap.
+    if 1 << n > _FRONTIER_ENTRIES:
+        raise SearchCapExceededError(
+            f"{search} of {n} goods would value 2^{n} subsets, past the cap "
+            f"of {_FRONTIER_ENTRIES}"
         )
 
 

@@ -16,15 +16,14 @@ from typing import Callable, Iterable, Sequence
 from .model import (
     Allocation,
     Bundle,
-    FairDivisionError,
     Instance,
     InvariantViolationError,
     SearchCapExceededError,
     StructuralError,
     ZERO,
-    _FRONTIER_ENTRIES,
     _Record,
     _assemble,
+    _check_subsets,
     _efx_envies,
     _envy_pairs,
     _fits,
@@ -50,7 +49,7 @@ __all__ = [
 ONE = Fraction(1)
 
 
-class ExistenceViolationError(FairDivisionError):
+class ExistenceViolationError(InvariantViolationError):
     """Exhaustive search disproved a guaranteed existence claim (a bug trap)."""
 
 
@@ -86,16 +85,6 @@ class _Counter:
             raise SearchCapExceededError(
                 f"search budget exhausted after {self.cap} enumerated assignments"
             )
-
-
-def _check_subsets(search: str, n: int) -> None:
-    # Raises before a ``search`` that values all 2^n subsets of n goods
-    # when they are more than the knapsack's frontier cap.
-    if 1 << n > _FRONTIER_ENTRIES:
-        raise SearchCapExceededError(
-            f"{search} of {n} goods would value 2^{n} subsets, past the cap "
-            f"of {_FRONTIER_ENTRIES}"
-        )
 
 
 def _suffix_sums(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -35,6 +35,7 @@ from .model import (
     _lowest_terms,
     _values,
     normalize,
+    nsw_product,
     to_rational,
 )
 from .oracles import (
@@ -47,6 +48,7 @@ from .two_agents import efx_2a
 
 __all__ = [
     "AlphaParams",
+    "RATIO_DIVISOR_3A",
     "SetAside",
     "SolveResult",
     "efx_3a",
@@ -84,6 +86,10 @@ class AlphaParams(_Record):
                 "alpha must lie in (0, 1/35]; above 1/35 the guarantees are void"
             )
         super().__init__(alpha)
+
+
+# The welfare floor of efx_3a's allocation is the optimum over RATIO_DIVISOR_3A.
+RATIO_DIVISOR_3A = 171**3
 
 
 class SolveResult(_Record):
@@ -384,8 +390,6 @@ def efx_3a(
         raise StructuralError("this procedure handles exactly 3 agents")
 
     opt = max_nsw_allocation(instance, range(3), instance.all_goods(), search)
-    # Welfare products are ints over the product of the value scales.
-    scale = math.prod(instance._value_scales)
 
     # Without the pipeline the optimum stands, each agent in her own role
     # with nothing set aside.
@@ -434,8 +438,8 @@ def efx_3a(
         allocation=final,
         branch=branch,
         opt=opt,
-        opt_product=Fraction(math.prod(_values(instance, opt.bundles)), scale),
-        final_product=Fraction(math.prod(_values(instance, final.bundles)), scale),
+        opt_product=nsw_product(instance, opt),
+        final_product=nsw_product(instance, final),
         alpha=alpha.alpha,
         role_order=roles,
         setaside_goods=tuple([setaside.goods[r] for r in back]),

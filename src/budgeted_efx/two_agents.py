@@ -49,9 +49,6 @@ class FeasibilityGraph(_Record):
 
     __slots__ = _fields = ("agents", "bundles", "edges", "values")
 
-    def agent_edges(self, position: int) -> list[int]:
-        return sorted(j for (i, j) in self.edges if i == position)
-
 
 class TwoAgentResult(_Record):
     """Outcome of the pair procedure.

@@ -17,6 +17,7 @@ import budgeted_efx.cli as cli_mod
 from budgeted_efx import model
 from budgeted_efx.cli import main
 from budgeted_efx.instances import (
+    ParseError,
     gen_instances,
     instance_to_json,
     parse_allocation,
@@ -28,6 +29,7 @@ from budgeted_efx.model import (
     Instance,
     InvariantViolationError,
     SearchCapExceededError,
+    StructuralError,
     efx_violation,
     is_ef1,
     is_efx,
@@ -37,8 +39,10 @@ from budgeted_efx.model import (
 from budgeted_efx.oracles import (
     ExistenceViolationError,
     SearchBudget,
+    is_pareto_efficient,
     max_nsw_allocation,
 )
+from conftest import FIXTURES
 
 
 def run(capsys, *argv):
@@ -820,3 +824,123 @@ class TestOneParser:
                 env=env,
             )
             assert (fresh.returncode, fresh.stdout) == (code, out)
+
+
+class TestUnallocatedGoods:
+    """A report's ``unallocated`` is every good of the instance that no
+    agent holds, as ``verify`` lists it for the same bundles."""
+
+    # The last good costs more than any budget, so the welfare optimum, and
+    # with it the pair procedure's seed, leaves it out.
+    PAIR = Instance((1, 1, 5), (2, 2), ((1, 1, 1),) * 2)
+    TRIPLE = Instance((1, 1, 1, 1, 9), (2, 2, 2), ((1, 2, 3, 4, 5),) * 3)
+
+    @pytest.mark.parametrize(
+        "algorithm, instance",
+        [("efx2", PAIR), ("oracle-nsw", PAIR), ("oracle-efx", PAIR), ("efx3", TRIPLE)],
+        ids=["efx2", "oracle-nsw", "oracle-efx", "efx3"],
+    )
+    def test_a_good_the_optimum_leaves_out(self, algorithm, instance, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(instance_to_json(instance))
+        code, out, _ = run(capsys, "solve", str(path), "--algorithm", algorithm)
+        assert code == 0
+        solved = report_of(out)["allocation"]
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"bundles": solved["bundles"]}))
+        code, out, _ = run(capsys, "verify", str(path), str(alloc))
+        assert code == 0
+        assert solved["unallocated"] == report_of(out)["allocation"]["unallocated"]
+        assert instance.num_goods - 1 in solved["unallocated"]
+
+
+class TestFlagsOfOtherAlgorithms:
+    """``--seed-allocation`` is for efx2 and ``--alpha`` for efx3; given to
+    another algorithm, either is a parse error that names it."""
+
+    def test_a_seed_allocation_for_efx3(self, capsys, tmp_path):
+        never_read = tmp_path / "no_such_seed.json"
+        argv = ["solve", str(FIXTURES / "r3.json"), "--algorithm", "efx3"]
+        code, out, err = run(capsys, *argv, "--seed-allocation", str(never_read))
+        assert (code, out) == (1, "")
+        assert err == "error: --seed-allocation applies to efx2 only, not efx3\n"
+
+    def test_alpha_for_efx2(self, t1, t1_path, capsys):
+        argv = ["solve", str(t1_path), "--algorithm", "efx2", "--alpha", "1/2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: --alpha applies to efx3 only, not efx2\n"
+        with pytest.raises(ParseError, match="^--alpha applies to efx3 only, not oracle-nsw$"):
+            cli_mod._solve_report(t1, "oracle-nsw", SearchBudget(), alpha="1/35")
+
+
+class TestInputChecks:
+    """Each malformed input is refused with its own message; a malformed
+    document also exits 1 through ``main``."""
+
+    INSTANCES = {
+        "null-number": (
+            {"goods": [{"id": 0, "cost": None}], "agents": []},
+            "goods[0].cost: expected an integer or 'p/q' string, got None",
+        ),
+        "not-an-object": ([], "instance document must be a JSON object"),
+        "no-goods": ({"agents": []}, "missing top-level key 'goods'"),
+        "no-agents": ({"goods": []}, "missing top-level key 'agents'"),
+        "goods-not-an-array": ({"goods": {}, "agents": []}, "'goods' and 'agents' must be arrays"),
+        "agents-not-an-array": ({"goods": [], "agents": 0}, "'goods' and 'agents' must be arrays"),
+        "good-without-cost": (
+            {"goods": [{"id": 0}], "agents": []},
+            "goods[0]: expected an object with 'id' and 'cost'",
+        ),
+        "agent-without-values": (
+            {"goods": [], "agents": [{"id": 0, "budget": 1}]},
+            "agents[0]: expected an object with 'id', 'budget' and 'values'",
+        ),
+    }
+
+    @pytest.mark.parametrize("doc, message", list(INSTANCES.values()), ids=list(INSTANCES))
+    def test_a_malformed_instance(self, doc, message, capsys, tmp_path):
+        with pytest.raises(ParseError) as refused:
+            parse_instance(doc)
+        assert str(refused.value) == message
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(path), "--algorithm", "oracle-nsw")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_an_allocation_that_is_not_an_object(self, t1, t1_path, capsys, tmp_path):
+        message = "allocation document must be an object with 'bundles'"
+        with pytest.raises(ParseError) as refused:
+            parse_allocation([[0], [1]], t1)
+        assert str(refused.value) == message
+        path = tmp_path / "alloc.json"
+        path.write_text("[[0], [1]]")
+        code, out, err = run(capsys, "verify", str(t1_path), str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_efx2_on_a_three_agent_instance(self, capsys):
+        r3 = FIXTURES / "r3.json"
+        message = "efx2 requires a two-agent instance"
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            cli_mod._solve_report(parse_instance(r3), "efx2", SearchBudget())
+        code, out, err = run(capsys, "solve", str(r3), "--algorithm", "efx2")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_a_seed_allocation_over_budget(self, t1, t1_path, capsys, tmp_path):
+        message = "input bundle of agent 0 exceeds her budget"
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            cli_mod._solve_report(t1, "efx2", SearchBudget(), seed={"bundles": [[0, 1, 2], []]})
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"bundles": [[0, 1, 2], []]}))
+        argv = ["solve", str(t1_path), "--algorithm", "efx2", "--seed-allocation", str(seed)]
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_verify_under_a_cap_too_small_for_the_pareto_walk(self, t1, t1_path, capsys, tmp_path):
+        allocation = make_allocation(t1, [{0}, {1}])
+        with pytest.raises(SearchCapExceededError, match="^search budget exhausted after 1 "):
+            is_pareto_efficient(t1, allocation, SearchBudget(1))
+        path = tmp_path / "alloc.json"
+        path.write_text(json.dumps({"bundles": [[0], [1]]}))
+        code, out, _ = run(capsys, "verify", str(t1_path), str(path), "--cap", "1")
+        assert code == 0
+        assert report_of(out)["pareto_efficient"] is None

@@ -269,6 +269,17 @@ class TestCanonicalText:
         with pytest.raises(TypeError):
             _canonical_json(doc)
 
+    def test_subclasses_of_int_and_str_raise_type_error(self):
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        for value in (Count(1), Name("x")):
+            with pytest.raises(TypeError, match="has no canonical JSON form"):
+                _canonical_json({"value": value})
+
 
 class TestAllocationDocuments:
     def test_round_trip(self, t1):
@@ -357,3 +368,15 @@ class TestGeneration:
         with pytest.raises(GenerationError, match=r"goods range \(2, 2\) has fewer than 3"):
             gen_instances(1, 1, 3, (2, 2))
         assert len(gen_instances(1, 2, 3, (1, 3))) == 2
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((1, 1, 4, (4, 6)), {}, "generator supports 2 or 3 agents"),
+            ((1, 1, 2, (2, 6)), {"budget_spread": 0}, "budget spread must be at least 1"),
+        ],
+        ids=["four-agents", "spread-zero"],
+    )
+    def test_unsupported_arguments_are_named(self, args, kwargs, message):
+        with pytest.raises(GenerationError, match=f"^{message}$"):
+            gen_instances(*args, **kwargs)

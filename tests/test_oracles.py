@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from budgeted_efx import model
 from budgeted_efx.instances import gen_instances
 from budgeted_efx.model import (
     DegenerateOptimumError,
     Instance,
+    InvariantViolationError,
     StructuralError,
     bundle_value,
     is_ef1,
@@ -19,6 +21,7 @@ from budgeted_efx.model import (
     nsw_product,
 )
 from budgeted_efx.oracles import (
+    ExistenceViolationError,
     SearchBudget,
     SearchCapExceededError,
     best_allocation_under_predicate,
@@ -483,6 +486,21 @@ def test_a_knapsack_enumeration_past_the_frontier_cap_raises_before_allocating()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_the_subset_searches_read_the_frontier_cap_of_the_model(monkeypatch):
+    # 2^4 subsets are past a cap of 8 entries wherever the cap is read.
+    monkeypatch.setattr(model, "_FRONTIER_ENTRIES", 8)
+    past = "of 4 goods would value 2\\^4 subsets, past the cap of 8$"
+    with pytest.raises(SearchCapExceededError, match="^leximin split " + past):
+        leximin_pp_split(range(4), len)
+    inst = Instance((1,) * 4, (2,), ((1,) * 4,))
+    with pytest.raises(SearchCapExceededError, match="^knapsack enumeration " + past):
+        knapsack_by_enumeration(inst, 0, range(4), 2)
+
+
+def test_an_existence_violation_is_an_invariant_violation():
+    assert issubclass(ExistenceViolationError, InvariantViolationError)
 
 
 class TestBestUnderPredicate:

@@ -480,6 +480,11 @@ class TestPipelineBranches:
         assert AlphaParams("1/40").alpha == F(1, 40)
         assert AlphaParams().alpha == F(1, 35)
 
+    def test_else_procedure_needs_ascending_budgets(self):
+        inst = build([1] * 4, [3, 2, 4], [[1] * 4] * 3)
+        with pytest.raises(StructuralError, match="^agents must be indexed by ascending budget$"):
+            else_procedure(inst, inst.all_goods(), (False, False))
+
 
 class TestPipelineInvariants:
     def test_random_instances_meet_every_guarantee(self):

@@ -91,7 +91,7 @@ class TestFeasibilityGraph:
         # any bundle leaves nothing, so thresholds are zero and every bundle
         # qualifies
         for agent_pos in (0, 1):
-            assert {1, 2} <= set(graph.agent_edges(agent_pos))
+            assert {1, 2} <= {j for i, j in graph.edges if i == agent_pos}
         assert graph.edges == frozenset(
             (i, j) for i in range(2) for j in range(3)
         )
@@ -196,7 +196,7 @@ class TestSelectPerfectMatching:
                 frozenset(goods[cut2:]),
             )
             graph = build_feasibility_graph(inst, (0, 1), bundles)
-            if any(len(graph.agent_edges(pos)) >= 2 for pos in range(2)):
+            if any(sum(i == pos for i, _ in graph.edges) >= 2 for pos in range(2)):
                 assert select_perfect_matching(graph, 1, 0) is not None
 
 
@@ -463,3 +463,8 @@ class TestEfx2a:
         assert result.allocation.bundles[0] == frozenset()
         assert result.allocation.scope == frozenset({0, 1, 2})
         assert pair_is_efx(inst, result.allocation, (1, 2))
+
+    def test_the_same_agent_twice_is_refused(self, t1):
+        seed = make_allocation(t1, [{0}, {1}])
+        with pytest.raises(StructuralError, match="^pair must name two distinct agents$"):
+            efx_2a(t1, (1, 1), seed)
