@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -96,11 +97,29 @@ def rational_to_json(x: Fraction) -> int | str:
     return _ratio_to_json(x.numerator, x.denominator)
 
 
+# An int of at most this many bits has at most 640 digits, which every
+# setting of sys.set_int_max_str_digits() lets str() write.
+_PRINTABLE_BITS = 2125
+
+
 def _ratio_to_json(p: int, q: int) -> int | str:
     # p/q, for q > 0, in the wire format: an int when q divides p, else
-    # "p/q" in lowest terms.
+    # "p/q" in lowest terms. A part with more digits than str() writes
+    # under sys.get_int_max_str_digits() raises FairDivisionError here,
+    # not ValueError when the report is written.
     d = math.gcd(p, q)
-    return p // d if d == q else f"{p // d}/{q // d}"
+    p, q = p // d, q // d
+    try:
+        if q != 1:
+            return f"{p}/{q}"
+        if p.bit_length() > _PRINTABLE_BITS:
+            str(p)
+        return p
+    except ValueError:
+        raise FairDivisionError(
+            "a reported number has more digits than sys.get_int_max_str_digits() "
+            f"= {sys.get_int_max_str_digits()} lets Python write"
+        ) from None
 
 
 def _load_document(source: str | Path | dict) -> Any:

@@ -17,7 +17,12 @@ envy, EFx and EF1 predicates need nothing else: an envied bundle the agent
 cannot afford whole is EFx-envied (the budget binds after the removal, and
 each best affordable subset misses some good of it), and of an affordable
 one she keeps all but the dropped good, a sum. EF1 asks ``_beats`` once per
-good of an envied unaffordable bundle. Floats and booleans are rejected at
+good of an envied unaffordable bundle. ``is_efx``, ``is_ef1`` and
+``is_envy_free`` settle every pair whose target the agent affords whole, by
+a sum, before any bounded decision on a target she cannot afford. So a
+failing sum answers False even where a bounded decision on another pair
+would pass the frontier cap; only a verdict that needs such a decision
+raises :class:`SearchCapExceededError`. Floats and booleans are rejected at
 the boundary because every predicate in this package compares exact sums.
 """
 
@@ -724,11 +729,23 @@ def _fits(instance: Instance, agent: int, bundle: Bundle) -> bool:
 
 def _efx_envies(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
     # The two cases of efx_envies's docstring, in her units.
-    if not _fits(instance, agent, target):
-        return _envious(instance, agent, target, own)
+    if _fits(instance, agent, target):
+        return _beats_but_least(instance, agent, target, own)
+    return _envious(instance, agent, target, own)
+
+
+def _beats_but_least(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
+    # EFx and EF1 envy of a target she affords whole: she keeps all of it
+    # but the dropped good, so its value without its least valued good
+    # beats ``own``.
     row = instance._int_values[agent]
     vals = [row[g] for g in target]
     return bool(vals) and sum(vals) - min(vals) > own
+
+
+def _beats_whole(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
+    # Envy of a target she affords whole: its value beats ``own``.
+    return _int_value(instance, agent, target) > own
 
 
 class EfxViolation(_Record):
@@ -780,35 +797,48 @@ def _envy_pairs(
                 yield i, j
 
 
-def _no_pair(instance: Instance, allocation: Allocation, envious) -> bool:
-    # Whether ``envious`` holds for no pair of agents, each at her own value.
+def _no_pair(instance: Instance, allocation: Allocation, affordable, tight) -> bool:
+    # Whether no agent envies another's bundle, each at her own value, by a
+    # predicate's two cases: ``affordable`` for a bundle she affords whole,
+    # a sum, and ``tight`` for one she cannot, a bounded decision. Every
+    # affordable pair is settled before any bounded decision runs; each pass
+    # takes agents, then targets, in id order.
     own_values = _own_values(instance, allocation)
-    agents = range(len(own_values))
-    return not any(_envy_pairs(instance, agents, allocation.bundles, own_values, envious))
+    bundles = allocation.bundles
+    costs = [_int_cost(instance, b) for b in bundles]
+    budgets = instance._int_budgets
+    unaffordable = []
+    for i, own in enumerate(own_values):
+        for j, target in enumerate(bundles):
+            if i == j:
+                continue
+            if costs[j] > budgets[i]:
+                unaffordable.append((i, j))
+            elif affordable(instance, i, target, own):
+                return False
+    return not any(tight(instance, i, bundles[j], own_values[i]) for i, j in unaffordable)
 
 
 def is_efx(instance: Instance, allocation: Allocation) -> bool:
     """Envy-freeness up to any good, measured against budget-feasible sub-bundles."""
-    return _no_pair(instance, allocation, _efx_envies)
+    return _no_pair(instance, allocation, _beats_but_least, _envious)
 
 
 def is_ef1(instance: Instance, allocation: Allocation) -> bool:
     """Envy-freeness up to one good, measured against budget-feasible
     sub-bundles: no affordable nonempty subset of another bundle, without its
     least valued good, is worth more than the own bundle."""
-    return _no_pair(instance, allocation, _ef1_envies)
+    return _no_pair(instance, allocation, _beats_but_least, _ef1_tight)
 
 
-def _ef1_envies(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
-    # Whether some affordable nonempty S of T, without its least valued
-    # good, is worth more than ``own``. v(S) minus its least good value is
-    # the largest v(S - h) over h in S, so this holds exactly when for some
-    # h in T with c(h) <= B some subset of T - h affordable at B - c(h)
-    # beats ``own``. For an affordable T that is EFx's sum test; otherwise
-    # EF1 envy implies envy, which one bounded decision rules out for most
-    # pairs.
-    if _fits(instance, agent, target):
-        return _efx_envies(instance, agent, target, own)
+def _ef1_tight(instance: Instance, agent: int, target: Bundle, own: int) -> bool:
+    # EF1 envy of a target she cannot afford whole: some affordable nonempty
+    # S of T, without its least valued good, is worth more than ``own``.
+    # v(S) minus its least good value is the largest v(S - h) over h in S,
+    # so this holds exactly when for some h in T with c(h) <= B some subset
+    # of T - h affordable at B - c(h) beats ``own``. Of an affordable T that
+    # is EFx's sum test. EF1 envy implies envy, which one bounded decision
+    # rules out for most pairs.
     if not _envious(instance, agent, target, own):
         return False
     costs = instance._int_costs
@@ -824,7 +854,7 @@ def _ef1_envies(instance: Instance, agent: int, target: Bundle, own: int) -> boo
 
 
 def is_envy_free(instance: Instance, allocation: Allocation) -> bool:
-    return _no_pair(instance, allocation, _envious)
+    return _no_pair(instance, allocation, _beats_whole, _envious)
 
 
 def nsw_product(instance: Instance, allocation: Allocation) -> Fraction:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from budgeted_efx import model
 from budgeted_efx.cli import main
 from budgeted_efx.instances import (
     ParseError,
+    _ratio_to_json,
     gen_instances,
     instance_to_json,
     parse_allocation,
@@ -944,3 +946,149 @@ class TestInputChecks:
         code, out, _ = run(capsys, "verify", str(t1_path), str(path), "--cap", "1")
         assert code == 0
         assert report_of(out)["pareto_efficient"] is None
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int-to-str digits unlimited")
+class TestOversizedNumbers:
+    """A report number with more digits than ``sys.get_int_max_str_digits()``
+    lets Python write is refused with exit 1 and one error line."""
+
+    MESSAGE = (
+        "error: a reported number has more digits than sys.get_int_max_str_digits() "
+        f"= {sys.get_int_max_str_digits()} lets Python write\n"
+    )
+
+    @pytest.fixture
+    def two_agents(self, tmp_path):
+        # Each agent's welfare product has a denominator of 5,000 digits.
+        doc = {
+            "goods": [{"id": g, "cost": 1} for g in range(3)],
+            "agents": [
+                {"id": 0, "budget": 3, "values": ["1/" + "7" * 2500] * 3},
+                {"id": 1, "budget": 3, "values": ["1/" + "9" * 2499 + "1"] * 3},
+            ],
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("algorithm", ["efx2", "oracle-nsw", "oracle-efx"])
+    def test_solve(self, algorithm, two_agents, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        argv = ["solve", str(two_agents), "--algorithm", algorithm, "--out", str(report)]
+        assert run(capsys, *argv) == (1, "", self.MESSAGE)
+        assert not report.exists()
+
+    def test_verify(self, two_agents, capsys, tmp_path):
+        allocation = tmp_path / "alloc.json"
+        allocation.write_text(json.dumps({"bundles": [[0], [1, 2]]}))
+        assert run(capsys, "verify", str(two_agents), str(allocation)) == (1, "", self.MESSAGE)
+
+    def test_efx3_with_1500_digit_denominators(self, capsys, tmp_path):
+        # Three agents' scales multiply to 4,500 digits in the welfare product.
+        doc = json.loads((FIXTURES / "r3.json").read_text())
+        for i, agent in enumerate(doc["agents"]):
+            scale = int(str(i + 1) * 1500)
+            agent["values"] = [
+                f"{v.numerator}/{v.denominator * scale}"
+                for v in map(Fraction, map(str, agent["values"]))
+            ]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "solve", str(path), "--algorithm", "efx3") == (1, "", self.MESSAGE)
+
+    def test_the_largest_writable_int_is_written(self):
+        limit = sys.get_int_max_str_digits()
+        assert _ratio_to_json(10**limit - 1, 1) == 10**limit - 1
+        assert _ratio_to_json(1, 10**limit - 1) == f"1/{10**limit - 1}"
+        with pytest.raises(model.FairDivisionError, match="more digits than"):
+            _ratio_to_json(10**limit, 1)
+        with pytest.raises(model.FairDivisionError, match="more digits than"):
+            _ratio_to_json(1, 10**limit)
+
+
+# JSON values that a mutation writes in place of a number, an id or a list.
+_ODD_VALUES = st.sampled_from(
+    [0, 1, 2, -1, "1/0", "-3", "3/2", "0.5", "x", 1.5, True, None, [], {}, 10**40]
+    + ["1/" + "7" * 2500]
+)
+
+
+@st.composite
+def _mutated_document(draw, doc):
+    # A copy of ``doc`` with up to three of its numbers, ids, entries or keys
+    # replaced, removed or duplicated.
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        array = doc[draw(st.sampled_from(["goods", "agents"]))]
+        entry = array[draw(st.integers(0, len(array) - 1))] if array else None
+        if not entry:
+            continue
+        action = draw(st.sampled_from(["set", "drop-key", "drop-entry", "repeat-entry"]))
+        key = draw(st.sampled_from(sorted(entry)))
+        if action == "set" and key == "values" and entry["values"]:
+            entry["values"][draw(st.integers(0, len(entry["values"]) - 1))] = draw(_ODD_VALUES)
+        elif action == "set":
+            entry[key] = draw(_ODD_VALUES)
+        elif action == "drop-key":
+            del entry[key]
+        elif action == "drop-entry":
+            array.remove(entry)
+        else:
+            array.append(entry)
+    return doc
+
+
+_GOOD_IDS = st.one_of(st.integers(-1, 7), st.sampled_from(["0", 1.0, None, True]))
+_ALLOCATIONS = st.one_of(
+    # Allocations of t1, then of r3, that parse.
+    st.sampled_from([[[0], [1]], [[0, 1], [2]], [[0, 1, 2], []], [[0, 1, 2], [3], [4, 5]]]).map(
+        lambda bundles: {"bundles": bundles}
+    ),
+    st.fixed_dictionaries({"bundles": st.lists(st.lists(_GOOD_IDS, max_size=4), max_size=4)}),
+    st.sampled_from([[], {}, {"bundles": None}, {"bundles": [[0], "1"]}]),
+)
+
+
+_SOMETIMES = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def _argvs(draw):
+    # A solve or verify call on a mutated fixture: the documents to write,
+    # then argv with INSTANCE and ALLOCATION for their paths.
+    name = draw(st.sampled_from(["t1.json", "r3.json"]))
+    doc = draw(_mutated_document(json.loads((FIXTURES / name).read_text())))
+    allocation = draw(_ALLOCATIONS)
+    if draw(st.booleans()):
+        argv = ["verify", "INSTANCE", "ALLOCATION"]
+    else:
+        algorithm = draw(st.sampled_from(["efx2", "efx3", "oracle-nsw", "oracle-efx", "nsw"]))
+        argv = ["solve", "INSTANCE", "--algorithm", algorithm]
+        if draw(_SOMETIMES):
+            argv += ["--alpha", draw(st.sampled_from(["1/35", "1/2", "0", "2", "x"]))]
+        if draw(_SOMETIMES):
+            argv += ["--seed-allocation", draw(st.sampled_from(["opt", "ALLOCATION", "missing"]))]
+    if draw(_SOMETIMES):
+        argv += ["--cap", draw(st.sampled_from(["1", "5", "0", "-1", "x"]))]
+    return doc, allocation, argv
+
+
+class TestExitCodeContract:
+    """Whatever documents and flags it is given, ``main`` returns one of the
+    exit codes README lists and raises nothing."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_argvs())
+    def test_mutated_documents_and_flags(self, case):
+        doc, allocation, argv = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"INSTANCE": Path(tmp, "inst.json"), "ALLOCATION": Path(tmp, "alloc.json")}
+            paths["INSTANCE"].write_text(json.dumps(doc))
+            paths["ALLOCATION"].write_text(json.dumps(allocation))
+            argv = [str(paths.get(a, a)) for a in argv]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = main(argv)
+        assert code in (0, 1, 2, 3, 4)

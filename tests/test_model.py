@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from budgeted_efx import model
 from budgeted_efx.model import (
     Allocation,
     DegenerateOptimumError,
@@ -220,6 +221,37 @@ class TestFairnessPredicates:
         alloc = Allocation((frozenset({0}), frozenset({5})), frozenset({0, 5}))
         with pytest.raises(StructuralError, match="unknown good id 5"):
             predicate(t1, alloc)
+
+    @staticmethod
+    def tight_third_bundle(agent2_values):
+        # Agent 0 affords one of agent 2's goods (cost 2, value 3), so she
+        # does not envy that bundle, but the fractional bound of its next
+        # good lifts her past her own 3: deciding it takes a frontier.
+        inst = build(
+            (1, 1, 2, 2, 2, 1),
+            (3, 100, 6),
+            ((2, 1, 3, 3, 3, 0), (0,) * 6, agent2_values),
+        )
+        return inst, make_allocation(inst, [{0, 1}, {5}, {2, 3, 4}])
+
+    @pytest.mark.parametrize("predicate", [is_envy_free, is_efx, is_ef1])
+    def test_a_failing_sum_is_settled_before_any_bounded_decision(
+        self, monkeypatch, predicate
+    ):
+        # Agent 2 envies agent 0's affordable pair of goods, 5 each, without
+        # either one; agent 0's pair with agent 2 comes first, unaffordable.
+        inst, alloc = self.tight_third_bundle((5, 5, 1, 1, 1, 0))
+        assert predicate(inst, alloc) is False
+        monkeypatch.setattr(model, "_FRONTIER_ENTRIES", 0)
+        assert predicate(inst, alloc) is False
+
+    @pytest.mark.parametrize("predicate", [is_envy_free, is_efx, is_ef1])
+    def test_a_passing_verdict_still_makes_its_bounded_decision(self, monkeypatch, predicate):
+        inst, alloc = self.tight_third_bundle((0, 0, 1, 1, 1, 0))
+        assert predicate(inst, alloc) is True
+        monkeypatch.setattr(model, "_FRONTIER_ENTRIES", 0)
+        with pytest.raises(SearchCapExceededError, match="frontiers of agent 0 over 3 goods"):
+            predicate(inst, alloc)
 
 
 class TestAllocationSize:
