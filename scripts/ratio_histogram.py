@@ -25,7 +25,7 @@ def ratios_for(agents: int, count: int, seed: int):
     else:
         for inst in gen_instances(seed, count, 3, (4, 9)):
             result = efx_3a(inst)
-            yield result.final_product / result.opt_product, 3
+            yield nsw_product(inst, result.allocation) / nsw_product(inst, result.opt), 3
 
 
 def main() -> None:

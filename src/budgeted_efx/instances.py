@@ -29,6 +29,7 @@ from .model import (
     Instance,
     StructuralError,
     make_allocation,
+    to_rational,
 )
 
 __all__ = [
@@ -54,32 +55,18 @@ class GenerationError(FairDivisionError):
     """Random generation could not satisfy the solvability requirements."""
 
 
-def _ascii_digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
-
-
 def rational_from_json(x: Any, where: str = "") -> Fraction:
     """An instance number: a JSON integer, or a string ``p`` or ``p/q`` of
-    ASCII digits with an optional leading ``-``. A negative number parses,
-    so that the instance rejects it with its own message."""
+    ASCII digits with an optional leading ``-`` (:func:`to_rational`'s
+    grammar). A negative number parses, so that the instance rejects it
+    with its own message."""
     prefix = f"{where}: " if where else ""
-    if isinstance(x, bool) or isinstance(x, float):
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ParseError(f"{prefix}expected an integer or 'p/q' string, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        p, slash, q = x.removeprefix("-").partition("/")
-        if _ascii_digits(p) and (not slash or _ascii_digits(q)):
-            try:
-                value = Fraction(int(p), int(q)) if slash else Fraction(int(p))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"{prefix}malformed rational {x!r}") from exc
-            return -value if x.startswith("-") else value
-        raise ParseError(
-            f"{prefix}malformed rational {x!r}: expected ASCII digits 'p' or "
-            "'p/q', optionally after a '-'"
-        )
-    raise ParseError(f"{prefix}expected an integer or 'p/q' string, got {x!r}")
+    try:
+        return to_rational(x)
+    except StructuralError as exc:
+        raise ParseError(f"{prefix}{exc}") from exc
 
 
 def _rational_at(x: Any, where: str, *index: int) -> int | Fraction:

@@ -207,10 +207,31 @@ def _lowest_terms(ints: tuple[int, ...], scale: int) -> tuple[tuple[int, ...], i
     return tuple([x // d for x in ints]), scale // d
 
 
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def to_rational(x: RationalLike) -> Fraction:
-    """Convert to an exact rational, rejecting floats and booleans outright."""
+    """Convert to an exact rational, rejecting floats and booleans outright.
+
+    A string is read in the wire format's one grammar: ASCII digits ``p``
+    or ``p/q``, optionally after a ``-``. Decimals, exponents, spaces,
+    underscores and a ``+`` are refused.
+    """
     if type(x) is Fraction:
         return x
+    if isinstance(x, str):
+        p, slash, q = x.removeprefix("-").partition("/")
+        if not (_ascii_digits(p) and (not slash or _ascii_digits(q))):
+            raise StructuralError(
+                f"malformed rational {x!r}: expected ASCII digits 'p' or "
+                "'p/q', optionally after a '-'"
+            )
+        try:
+            value = Fraction(int(p), int(q)) if slash else Fraction(int(p))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise StructuralError(f"malformed rational {x!r}") from exc
+        return -value if x.startswith("-") else value
     if isinstance(x, float):
         raise StructuralError(
             f"floating point value {x!r} is not allowed; pass an int, a 'p/q' "
@@ -413,19 +434,11 @@ class Allocation(_Record):
         return self.scope - self.allocated()
 
 
-def make_allocation(
-    instance: Instance,
-    bundles: Sequence[Iterable[int]],
-    scope: Iterable[int] | None = None,
-) -> Allocation:
-    """Build an allocation for ``instance``; scope defaults to all goods."""
+def make_allocation(instance: Instance, bundles: Sequence[Iterable[int]]) -> Allocation:
+    """Build an allocation of all of ``instance``'s goods."""
     _check_count(instance, len(bundles))
     checked = tuple(instance.check_bundle(b) for b in bundles)
-    if scope is None:
-        scope_set = instance.all_goods()
-    else:
-        scope_set = instance.check_bundle(scope)
-    return Allocation(checked, scope_set)
+    return Allocation(checked, instance.all_goods())
 
 
 def _assemble(instance: Instance, parts: dict, scope: Iterable[int]) -> Allocation:

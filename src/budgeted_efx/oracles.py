@@ -46,9 +46,6 @@ __all__ = [
     "max_nsw_by_enumeration",
 ]
 
-ONE = Fraction(1)
-
-
 class ExistenceViolationError(InvariantViolationError):
     """Exhaustive search disproved a guaranteed existence claim (a bug trap)."""
 
@@ -192,10 +189,11 @@ def _welfare_walk(
     good to one owner. Each bound caps every leaf below the node whatever
     ``accept`` says, so no pruned leaf could have replaced the incumbent.
 
-    When ``accept`` is None and :func:`_seed_product` finds a product h > 0
-    (on trees of ``_SEED_FROM_LEAVES`` leaves or more), the incumbent starts
-    at h - 1. Every optimum is worth at least h, so no bound prunes it and
-    the first one is still returned; fewer leaves are reached.
+    The incumbent starts at -1, below every product. When ``accept`` is None
+    (on trees of ``_SEED_FROM_LEAVES`` leaves or more) it starts at h - 1
+    instead, for the product h that :func:`_seed_product` finds. Every
+    optimum is worth at least h, so no bound prunes it and the first one is
+    still returned; fewer leaves are reached.
 
     The search runs on the instance's integer form. Costs and budgets share
     one scale, so every feasibility test is unchanged. Agent a's values are
@@ -237,22 +235,20 @@ def _welfare_walk(
     spent = [0] * k
     acc = [0] * k
     assign = [k] * n
-    best_product: int | None = None
-    best_assign: tuple[int, ...] | None = None
-    # best_product * spread once there is an incumbent.
-    exclusive_cap = 0
+    # Every product is at least 0, so an incumbent of -1 prunes nothing
+    # and admits the first leaf.
+    best_product = -1
     if accept is None and (k + 1) ** n >= _SEED_FROM_LEAVES:
-        seed = _seed_product(costs, caps, vals)
-        if seed:
-            best_product = seed - 1
-            exclusive_cap = best_product * spread
+        best_product = _seed_product(costs, caps, vals) - 1
+    best_assign: tuple[int, ...] | None = None
+    exclusive_cap = best_product * spread
 
     def walk(idx: int, weighted_acc: int) -> None:
         nonlocal best_product, best_assign, exclusive_cap
         if idx == n:
             counter.tick()
             product = math.prod(acc)
-            if best_product is not None and product <= best_product:
+            if product <= best_product:
                 return
             if accept is not None and not accept(instance, to_allocation(assign)):
                 return
@@ -260,15 +256,14 @@ def _welfare_walk(
             best_assign = tuple(assign)
             exclusive_cap = product * spread
             return
-        if best_product is not None:
-            # The product bound is cheaper, so it goes first.
-            bound = 1
-            for ai in range(k):
-                bound *= acc[ai] + suffix[ai][idx]
-            if bound <= best_product:
-                return
-            if (weighted_acc + owned[idx]) ** k <= exclusive_cap:
-                return
+        # The product bound is cheaper, so it goes first.
+        bound = 1
+        for ai in range(k):
+            bound *= acc[ai] + suffix[ai][idx]
+        if bound <= best_product:
+            return
+        if (weighted_acc + owned[idx]) ** k <= exclusive_cap:
+            return
         cost = costs[idx]
         for code in range(k):
             with_g = spent[code] + cost
@@ -549,9 +544,7 @@ def max_nsw_by_enumeration(
                 acc[code] += instance.values[agents[code]][g]
         if any(spent[ai] > instance.budgets[agents[ai]] for ai in range(k)):
             continue
-        product = ONE
-        for v in acc:
-            product *= v
+        product = math.prod(acc)
         if best_product is None or product > best_product:
             best_product = product
             best_assign = codes

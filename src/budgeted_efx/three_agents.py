@@ -35,7 +35,6 @@ from .model import (
     _lowest_terms,
     _values,
     normalize,
-    nsw_product,
     to_rational,
 )
 from .oracles import (
@@ -58,9 +57,6 @@ __all__ = [
     "round_robin_self_split",
     "trim_to_budget_share",
 ]
-
-ENVY_SWAP_CAP = 100
-
 
 class SetAside(_Record):
     """One reserved good per agent (or none), with the owner's value for it."""
@@ -99,8 +95,6 @@ class SolveResult(_Record):
         "allocation",
         "branch",
         "opt",
-        "opt_product",
-        "final_product",
         "alpha",
         "role_order",
         "setaside_goods",
@@ -214,9 +208,8 @@ def equal_budget_procedure(
     Trimming caps each optimum bundle at a 1/n cost share, so the union Z is
     affordable for everyone and the complete-EFx search applies. Envy-cycle
     resolution (a 3-cycle rotation or a mutual-pair swap) strictly raises
-    every participant's value, hence the loop terminates; the cap is a
-    tripwire, not a tuning knob. EFx survives the reshuffles because bundles
-    are only relabeled, never altered.
+    every participant's value, hence the loop terminates. EFx survives the
+    reshuffles because bundles are only relabeled, never altered.
     """
     trimmed = trim_to_budget_share(instance, opt_on_pool)
     z: Bundle = frozenset().union(*trimmed)
@@ -230,7 +223,13 @@ def equal_budget_procedure(
         list(zip(c, c[1:] + c[:1]))
         for c in ((0, 1, 2), (0, 2, 1), *itertools.combinations(agents, 2))
     ]
-    for _ in range(ENVY_SWAP_CAP):
+    # Every bundle lies in Z, which every agent affords, so envy is a sum. A
+    # resolution only relabels the bundles and strictly raises each
+    # participant's value, so the sum of the values rises and no arrangement
+    # of the bundles recurs: at most n! - 1 resolutions, and n! passes reach
+    # one that finds no cycle. Running out of passes is a bug.
+    passes = math.factorial(instance.num_agents)
+    for _ in range(passes):
         bundles = allocation.bundles
         envy = set(_envy_pairs(instance, agents, bundles, _values(instance, bundles), _envious))
         cycle = next((c for c in cycles if envy.issuperset(c)), None)
@@ -243,7 +242,7 @@ def equal_budget_procedure(
         allocation = Allocation(tuple(moved), allocation.scope)
     else:
         raise InvariantViolationError(
-            f"envy-cycle resolution did not converge within {ENVY_SWAP_CAP} steps"
+            f"envy-cycle resolution did not converge within {passes} passes"
         )
     return allocation
 
@@ -438,8 +437,6 @@ def efx_3a(
         allocation=final,
         branch=branch,
         opt=opt,
-        opt_product=nsw_product(instance, opt),
-        final_product=nsw_product(instance, final),
         alpha=alpha.alpha,
         role_order=roles,
         setaside_goods=tuple([setaside.goods[r] for r in back]),

@@ -158,7 +158,8 @@ def test_criterion_3_three_agent_guarantee_suite(three_agent_runs):
                 <= instance.budgets[i]
             )
         assert is_efx(instance, result.allocation)
-        assert result.final_product >= RATIO_FLOOR_3A * result.opt_product
+        final, opt = nsw_product(instance, result.allocation), nsw_product(instance, result.opt)
+        assert final >= RATIO_FLOOR_3A * opt
     assert elapsed < 600.0, f"three-agent suite took {elapsed:.1f}s"
     announce(f"3 (triple guarantees, 100 instances in {elapsed:.1f}s)")
 
@@ -172,11 +173,8 @@ def test_criterion_4_branch_coverage_with_per_branch_floors(three_agent_runs):
         assert result.branch in BRANCH_FLOORS
         hits[result.branch] += 1
         floor = BRANCH_FLOORS[result.branch]
-        assert result.final_product >= floor * result.opt_product, (
-            result.branch,
-            result.final_product,
-            result.opt_product,
-        )
+        final, opt = nsw_product(instance, result.allocation), nsw_product(instance, result.opt)
+        assert final >= floor * opt, (result.branch, final, opt)
         if result.branch == "else_return3":
             # the lowest-monopoly agent's floor with the (1 - 11*alpha)
             # constant, in normalized units

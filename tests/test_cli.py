@@ -928,6 +928,12 @@ class TestInputChecks:
         code, out, err = run(capsys, "solve", str(r3), "--algorithm", "efx2")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_an_unknown_algorithm_inside_the_report_builder(self, t1):
+        # argparse refuses it first on the command line; the builder refuses
+        # it too when called directly.
+        with pytest.raises(ParseError, match="^unknown algorithm 'nope'$"):
+            cli_mod._solve_report(t1, "nope", SearchBudget())
+
     def test_a_seed_allocation_over_budget(self, t1, t1_path, capsys, tmp_path):
         message = "input bundle of agent 0 exceeds her budget"
         with pytest.raises(StructuralError, match=f"^{message}$"):

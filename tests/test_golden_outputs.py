@@ -39,6 +39,8 @@ CASES = {
     "cli_verify_t1_0_1.json": ("verify", [[0], [1]], "t1"),
     "cli_verify_r3_012_3_45.json": ("verify", [[0, 1, 2], [3], [4, 5]], "r3"),
     "cli_bench_three-agent_20.csv": ("bench", "three-agent", 20),
+    "cli_bench_three-agent_100.csv": ("bench", "three-agent", 100),
+    "cli_bench_two-agent_200.csv": ("bench", "two-agent", 200),
     "gen_n2_seed1.json": ("gen", 1, 3, 2, (5, 5)),
 }
 REPORTS = sorted(name for name, case in CASES.items() if case[0] in ("solve", "verify"))

@@ -345,9 +345,22 @@ class TestStructure:
         half = F(1, 2)
         assert to_rational(half) is half
         assert to_rational("6/4") == F(3, 2)
+        assert to_rational("-6/4") == F(-3, 2)
+        assert to_rational("007") == 7
         assert type(to_rational(3)) is Fraction
         with pytest.raises(StructuralError):
             to_rational(0.5)
+        with pytest.raises(StructuralError, match="^malformed rational '1/0'$"):
+            to_rational("1/0")
+
+    @pytest.mark.parametrize("text", ["0.02", "1e-2", " 1/50 ", "1_0/3", "+3"])
+    def test_text_outside_the_wire_grammar_is_refused(self, text):
+        with pytest.raises(StructuralError, match="malformed rational"):
+            to_rational(text)
+        with pytest.raises(StructuralError, match="malformed rational"):
+            build([text], [1], [[1]])
+        with pytest.raises(StructuralError, match="malformed rational"):
+            build([1], [1], [[text]])
 
     def test_negative_quantities_rejected(self):
         for negative in (F(-1, 2), "-1/3"):
@@ -374,7 +387,7 @@ class TestStructure:
 
     def test_allocation_outside_scope_rejected(self, t1):
         with pytest.raises(StructuralError):
-            make_allocation(t1, [{0}, {2}], scope={0, 1})
+            Allocation([{0}, {2}], {0, 1})
 
     def test_unallocated_pool_is_derived(self, t1):
         alloc = make_allocation(t1, [{0}, {2}])

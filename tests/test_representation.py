@@ -85,10 +85,10 @@ class TestConstructor:
         "args, message",
         [
             (((0.5,), (1,), ((1,),)), "floating point value 0.5 is not allowed"),
-            ((("x",), (0.5,), ((1,),)), "cannot interpret 'x' as a rational"),
+            ((("x",), (0.5,), ((1,),)), "malformed rational 'x'"),
             (((1,) * 513, (0.5,), ()), "513 goods exceed the limit of 512"),
             (((1,), (0.5,), (("x",),)), "floating point value 0.5"),
-            (((1, 1), (1,), (("x",),)), "cannot interpret 'x' as a rational"),
+            (((1, 1), (1,), (("x",),)), "malformed rational 'x'"),
             (((-1,), (1, 1), ((1,),)), "2 budgets but 1 value rows"),
             (((-1, 1), (1,), ((1,),)), "agent 0 has 1 values but there are 2 goods"),
             ((("-1/2",), (-1,), ((-1,),)), "costs must be nonnegative"),

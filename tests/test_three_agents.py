@@ -9,6 +9,7 @@ from budgeted_efx.instances import gen_instances
 from budgeted_efx.model import (
     Allocation,
     Instance,
+    InvariantViolationError,
     StructuralError,
     bundle_cost,
     bundle_value,
@@ -278,6 +279,23 @@ class TestEqualBudgetProcedure:
             assert self.envy_cycle_and_pair(reduced, out) == (False, False)
         assert starts == [(True, False), (True, True), (False, True), (False, True)]
 
+    def test_envy_cycles_run_out_after_one_pass_per_arrangement(self, monkeypatch):
+        # No arrangement of the three bundles recurs, so 3! passes end the
+        # loop. Envy that never settles is a bug, found after exactly those
+        # 6 passes of 6 envy decisions each.
+        calls = []
+
+        def always_envious(instance, agent, target, own):
+            calls.append(agent)
+            return True
+
+        monkeypatch.setattr(three_agents, "_envious", always_envious)
+        inst = build([1] * 3, [3, 3, 3], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        opt = Allocation(tuple(frozenset({g}) for g in range(3)), inst.all_goods())
+        with pytest.raises(InvariantViolationError, match="within 6 passes"):
+            equal_budget_procedure(inst, opt)
+        assert len(calls) == 36
+
 
 class TestRoundRobinSelfSplit:
     def test_alternation_on_descending_values(self):
@@ -318,7 +336,7 @@ class TestPipelineBranches:
         result = efx_3a(inst)
         assert result.branch == "small_instance"
         assert result.allocation.bundles == result.opt.bundles
-        assert result.final_product == result.opt_product
+        assert nsw_product(inst, result.allocation) == nsw_product(inst, result.opt)
 
     def test_both_monopolies_below_threshold_returns_immediately(self):
         inst = build(
@@ -339,7 +357,8 @@ class TestPipelineBranches:
             frozenset({1}),
             frozenset({3}),
         )
-        assert result.final_product == 6000 and result.opt_product == 16800
+        assert nsw_product(inst, result.allocation) == 6000
+        assert nsw_product(inst, result.opt) == 16800
         assert is_efx(inst, result.allocation)
 
         # the three per-agent floors behind the branch guarantee, measured
@@ -378,7 +397,8 @@ class TestPipelineBranches:
             frozenset({2, 3}),
             frozenset({4}),
         )
-        assert result.final_product == 18000 and result.opt_product == 54000
+        assert nsw_product(inst, result.allocation) == 18000
+        assert nsw_product(inst, result.opt) == 54000
         assert is_efx(inst, result.allocation)
 
     def test_sharing_the_cheap_monopoly_bundle(self):
@@ -398,7 +418,8 @@ class TestPipelineBranches:
             frozenset({1}),
             frozenset({3}),
         )
-        assert result.final_product == 2700 and result.opt_product == 15840
+        assert nsw_product(inst, result.allocation) == 2700
+        assert nsw_product(inst, result.opt) == 15840
         assert is_efx(inst, result.allocation)
         assert any("1 - 11*alpha" in n or "11" in n for n in result.notes)
 
@@ -426,7 +447,8 @@ class TestPipelineBranches:
             frozenset({1}),
             frozenset({2}),
         )
-        assert result.final_product == 1000000 and result.opt_product == 2047500
+        assert nsw_product(inst, result.allocation) == 1000000
+        assert nsw_product(inst, result.opt) == 2047500
         assert is_efx(inst, result.allocation)
 
         # Every agent then takes her set-aside good, so the grab shows only
@@ -446,7 +468,8 @@ class TestPipelineBranches:
         result = efx_3a(inst)
         assert result.branch == "equal_budget"
         assert is_efx(inst, result.allocation)
-        assert result.final_product >= RATIO_FLOOR * result.opt_product
+        final, opt = nsw_product(inst, result.allocation), nsw_product(inst, result.opt)
+        assert final >= RATIO_FLOOR * opt
 
     def test_disjoint_valuations_keep_the_full_welfare(self):
         inst = build(
@@ -459,7 +482,7 @@ class TestPipelineBranches:
             ],
         )
         result = efx_3a(inst)
-        assert result.final_product == result.opt_product
+        assert nsw_product(inst, result.allocation) == nsw_product(inst, result.opt)
         assert is_efx(inst, result.allocation)
 
     def test_alpha_above_the_guarantee_limit_is_refused(self, t1):
@@ -480,6 +503,11 @@ class TestPipelineBranches:
         assert AlphaParams("1/40").alpha == F(1, 40)
         assert AlphaParams().alpha == F(1, 35)
 
+    @pytest.mark.parametrize("alpha", ["0.02", "1e-2", " 1/50 ", "1_0/500", "+1/50"])
+    def test_alpha_text_outside_the_wire_grammar_is_refused(self, alpha):
+        with pytest.raises(StructuralError, match="malformed rational"):
+            AlphaParams(alpha)
+
     def test_else_procedure_needs_ascending_budgets(self):
         inst = build([1] * 4, [3, 2, 4], [[1] * 4] * 3)
         with pytest.raises(StructuralError, match="^agents must be indexed by ascending budget$"):
@@ -496,8 +524,8 @@ class TestPipelineInvariants:
                     bundle_cost(inst, result.allocation.bundles[i])
                     <= inst.budgets[i]
                 )
-            assert result.final_product >= RATIO_FLOOR * result.opt_product
-            assert result.final_product == nsw_product(inst, result.allocation)
+            final, opt = nsw_product(inst, result.allocation), nsw_product(inst, result.opt)
+            assert final >= RATIO_FLOOR * opt
             # set-aside swaps only ever help
             taken = [
                 i for i in range(3) if result.setaside_taken[i]

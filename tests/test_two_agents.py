@@ -283,7 +283,7 @@ class TestEfx2a:
         # {3} worth 8 < 18/2, because the envier's only safe bundle is the
         # envied agent's favorite; the rebuild restores the half guarantee
         inst = build([1, 5, 4, 2], [3, 11], [[6, 4, 8, 3], [7, 5, 6, 8]])
-        seed = make_allocation(inst, [{3}, {0, 1, 2}], scope={0, 1, 2, 3})
+        seed = make_allocation(inst, [{3}, {0, 1, 2}])
         result = efx_2a(inst, (0, 1), seed)
         assert result.branch == "removal_loop_certified"
         assert result.iterations == 1
@@ -295,7 +295,7 @@ class TestEfx2a:
         # affordability of her best combination, so matching her to the
         # kept bundle would leave her at 5 < 6
         inst = build([2, 3, 4, 1, 0], [5, 8], [[4, 5, 5, 2, 1], [2, 6, 2, 7, 2]])
-        seed = make_allocation(inst, [{1, 4}, {0, 2, 3}], scope={0, 1, 2, 3, 4})
+        seed = make_allocation(inst, [{1, 4}, {0, 2, 3}])
         result = efx_2a(inst, (0, 1), seed)
         assert result.branch == "removal_loop_certified"
         assert bundle_value(inst, 0, result.allocation.bundles[0]) >= 6
@@ -307,7 +307,7 @@ class TestEfx2a:
         # removal order banishes it to the reserve where both agents stay
         # pinned, so no matching ever appears in the loop's configurations
         inst = build([4, 0, 1, 3], [1, 11], [[1, 2, 1, 7], [2, 7, 1, 4]])
-        seed = make_allocation(inst, [{2}, {0, 1, 3}], scope={0, 1, 2, 3})
+        seed = make_allocation(inst, [{2}, {0, 1, 3}])
         result = efx_2a(inst, (0, 1), seed)
         assert result.branch == "removal_loop_certified"
         assert bundle_value(inst, 0, result.allocation.bundles[0]) >= 1
@@ -457,7 +457,7 @@ class TestEfx2a:
             [3, 3, 3],
             [[2, 2, 2], [1, 5, 4], [9, 9, 9]],
         )
-        seed = make_allocation(inst, [frozenset(), {0}, {1, 2}], scope={0, 1, 2})
+        seed = make_allocation(inst, [frozenset(), {0}, {1, 2}])
         result = efx_2a(inst, (1, 2), seed)
         # the third agent's bundle stays empty and off-limits
         assert result.allocation.bundles[0] == frozenset()
